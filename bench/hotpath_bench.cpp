@@ -1,8 +1,7 @@
 // Ingestion/query hot-path benchmark: parallel staged maintenance (4
-// workers) vs. serial handle-carrying batched maintenance vs. the id-keyed
-// batched path (the PR 3 baseline) vs. the single-reposition incremental
-// path (the PR 2 baseline) vs. the full-recompute baseline, on a
-// reposition-heavy stream — plus a reposition-batch-size sweep, a
+// workers) vs. the serial maintenance pipeline vs. the same pipeline fed by
+// the from-scratch score source, on a reposition-heavy stream — plus a
+// reposition-batch-size sweep, a
 // maintenance-thread sweep (1/2/4 workers) and sharded-ingestion scenarios
 // with the balance-aware routing cap off and on. The JSON records
 // available_cores: the parallel path is bitwise-identical to the serial
@@ -229,8 +228,7 @@ int Run(const char* out_path) {
   profile.seed = 42;
 
   PrintBanner(
-      "Hot-path bench: parallel vs handle vs batched vs single vs recompute "
-      "maintenance",
+      "Hot-path bench: parallel vs handle vs recompute maintenance",
       "Algorithm 1 + Algorithms 2-3 hot paths");
 
   auto generated = GenerateStream(profile);
@@ -250,12 +248,6 @@ int Run(const char* out_path) {
   constexpr std::size_t kParallelWorkers = 4;
   EngineConfig parallel_config = handle_config;
   parallel_config.maintenance_threads = kParallelWorkers;
-  // The PR 3 baseline: same batching, every tuple re-resolved by id.
-  EngineConfig batched_config = handle_config;
-  batched_config.carry_handles = false;
-  // The PR 2 baseline: no batching at all.
-  EngineConfig unbatched_config = batched_config;
-  unbatched_config.reposition_batch_min = 0;
   EngineConfig recompute_config = base;
   recompute_config.score_maintenance = ScoreMaintenance::kRecompute;
 
@@ -273,19 +265,14 @@ int Run(const char* out_path) {
   // bench machine drifts by tens of percent within one process, far above
   // the effects measured here, and best-of-2 over interleaved passes
   // cancels most of it. Within a pass the parallel engine is measured
-  // BEFORE the serial handle engine (and that before the batched and
-  // unbatched baselines): residual drift favors later feeds, so the
-  // ordering can only understate each speedup. The last pass's engines are
-  // kept for the query workload and the equivalence checks.
+  // BEFORE the serial handle engine: residual drift favors later feeds, so
+  // the ordering can only understate the parallel speedup. The last pass's
+  // engines are kept for the query workload and the equivalence checks.
   BucketStats recompute_feed;
   BucketStats parallel_feed;
   BucketStats handle_feed;
-  BucketStats batched_feed;
-  BucketStats unbatched_feed;
   std::unique_ptr<KsirEngine> parallel;
   std::unique_ptr<KsirEngine> handle;
-  std::unique_ptr<KsirEngine> batched;
-  std::unique_ptr<KsirEngine> unbatched;
   std::unique_ptr<KsirEngine> recompute;
   const auto better = [](const BucketStats& a, const BucketStats& b) {
     return a.num_buckets == 0 || b.total_ms < a.total_ms ? b : a;
@@ -297,10 +284,6 @@ int Run(const char* out_path) {
         std::make_unique<KsirEngine>(parallel_config, &dataset.stream.model);
     handle =
         std::make_unique<KsirEngine>(handle_config, &dataset.stream.model);
-    batched =
-        std::make_unique<KsirEngine>(batched_config, &dataset.stream.model);
-    unbatched =
-        std::make_unique<KsirEngine>(unbatched_config, &dataset.stream.model);
     recompute_feed = better(
         recompute_feed,
         Feed(recompute.get(),
@@ -312,14 +295,6 @@ int Run(const char* out_path) {
     handle_feed = better(
         handle_feed,
         Feed(handle.get(),
-             std::vector<SocialElement>(dataset.stream.elements)));
-    batched_feed = better(
-        batched_feed,
-        Feed(batched.get(),
-             std::vector<SocialElement>(dataset.stream.elements)));
-    unbatched_feed = better(
-        unbatched_feed,
-        Feed(unbatched.get(),
              std::vector<SocialElement>(dataset.stream.elements)));
   }
 
@@ -571,27 +546,16 @@ int Run(const char* out_path) {
       query.algorithm = algo.algorithm;
       const auto han = handle->Query(query);
       const auto par = parallel->Query(query);
-      const auto bat = batched->Query(query);
-      const auto unb = unbatched->Query(query);
       const auto rec = recompute->Query(query);
       KSIR_CHECK(han.ok());
       KSIR_CHECK(par.ok());
-      KSIR_CHECK(bat.ok());
-      KSIR_CHECK(unb.ok());
       KSIR_CHECK(rec.ok());
       han_total += han->stats.elapsed_ms;
       rec_total += rec->stats.elapsed_ms;
-      // Handle vs parallel vs id-batched vs single-reposition must agree
-      // EXACTLY (bit-identical list states; the parallel apply's
-      // determinism contract); recompute within the floating-point
-      // tolerance.
+      // Handle vs parallel must agree EXACTLY (bit-identical list states;
+      // the parallel apply's determinism contract); recompute within the
+      // floating-point tolerance.
       if (han->element_ids != par->element_ids || han->score != par->score) {
-        results_identical = false;
-      }
-      if (han->element_ids != bat->element_ids || han->score != bat->score) {
-        results_identical = false;
-      }
-      if (han->element_ids != unb->element_ids || han->score != unb->score) {
         results_identical = false;
       }
       if (han->element_ids != rec->element_ids) results_identical = false;
@@ -610,14 +574,6 @@ int Run(const char* out_path) {
                                      handle_feed.total_ms);
   const double speedup_p50 = ratio(recompute_feed.p50_ms,
                                    handle_feed.p50_ms);
-  const double handle_speedup_total = ratio(batched_feed.total_ms,
-                                            handle_feed.total_ms);
-  const double handle_speedup_p50 = ratio(batched_feed.p50_ms,
-                                          handle_feed.p50_ms);
-  const double batch_speedup_total = ratio(unbatched_feed.total_ms,
-                                           batched_feed.total_ms);
-  const double batch_speedup_p50 = ratio(unbatched_feed.p50_ms,
-                                         batched_feed.p50_ms);
   const double parallel_speedup_total = ratio(handle_feed.total_ms,
                                               parallel_feed.total_ms);
   const double parallel_speedup_p50 = ratio(handle_feed.p50_ms,
@@ -627,28 +583,20 @@ int Run(const char* out_path) {
   std::printf("  stream: %zu elements, %zu buckets, eta=%.4f (%u cores)\n",
               dataset.stream.elements.size(), handle_feed.num_buckets,
               dataset.eta, available_cores);
-  std::printf("  bucket update total: recompute %.1f ms | unbatched %.1f ms "
-              "| batched %.1f ms | handle %.1f ms | parallel x%zu %.1f ms\n",
-              recompute_feed.total_ms, unbatched_feed.total_ms,
-              batched_feed.total_ms, handle_feed.total_ms, kParallelWorkers,
+  std::printf("  bucket update total: recompute %.1f ms | handle %.1f ms | "
+              "parallel x%zu %.1f ms\n",
+              recompute_feed.total_ms, handle_feed.total_ms, kParallelWorkers,
               parallel_feed.total_ms);
-  std::printf("  speedups: handle vs recompute %.2fx | handle vs batched "
-              "(PR 3 baseline) %.2fx total, %.2fx p50 | batched vs "
-              "unbatched %.2fx total | parallel vs handle %.2fx total, "
-              "%.2fx p50\n",
-              speedup_total, handle_speedup_total, handle_speedup_p50,
-              batch_speedup_total, parallel_speedup_total,
-              parallel_speedup_p50);
-  std::printf("  bucket update p50/p95: batched %.3f/%.3f ms | handle "
-              "%.3f/%.3f ms | parallel %.3f/%.3f ms\n",
-              batched_feed.p50_ms, batched_feed.p95_ms,
+  std::printf("  speedups: handle vs recompute %.2fx | parallel vs handle "
+              "%.2fx total, %.2fx p50\n",
+              speedup_total, parallel_speedup_total, parallel_speedup_p50);
+  std::printf("  bucket update p50/p95: handle %.3f/%.3f ms | parallel "
+              "%.3f/%.3f ms\n",
               handle_feed.p50_ms, handle_feed.p95_ms,
               parallel_feed.p50_ms, parallel_feed.p95_ms);
-  std::printf("  throughput: recompute %.0f el/s | unbatched %.0f el/s | "
-              "batched %.0f el/s | handle %.0f el/s | parallel %.0f el/s\n",
-              recompute_feed.elements_per_sec,
-              unbatched_feed.elements_per_sec,
-              batched_feed.elements_per_sec, handle_feed.elements_per_sec,
+  std::printf("  throughput: recompute %.0f el/s | handle %.0f el/s | "
+              "parallel %.0f el/s\n",
+              recompute_feed.elements_per_sec, handle_feed.elements_per_sec,
               parallel_feed.elements_per_sec);
   std::printf("  batch-size sweep (total ms):");
   for (const SweepPoint& point : sweep) {
@@ -778,23 +726,16 @@ int Run(const char* out_path) {
   std::fprintf(out, "  \"engines\": {\n");
   emit_engine("handle", handle_feed, &handle_lat, true);
   emit_engine("parallel", parallel_feed, nullptr, true);
-  emit_engine("batched", batched_feed, nullptr, true);
-  emit_engine("incremental_unbatched", unbatched_feed, nullptr, true);
   emit_engine("recompute", recompute_feed, &recompute_lat, false);
   std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"maintenance_threads\": %zu,\n", kParallelWorkers);
   std::fprintf(out,
                "  \"speedup\": {\"bucket_update_total\": %.3f, "
                "\"bucket_update_p50\": %.3f, "
-               "\"handle_vs_pr3_batched_total\": %.3f, "
-               "\"handle_vs_pr3_batched_p50\": %.3f, "
-               "\"batched_vs_pr2_incremental_total\": %.3f, "
-               "\"batched_vs_pr2_incremental_p50\": %.3f, "
                "\"parallel_vs_handle_total\": %.3f, "
                "\"parallel_vs_handle_p50\": %.3f},\n",
-               speedup_total, speedup_p50, handle_speedup_total,
-               handle_speedup_p50, batch_speedup_total, batch_speedup_p50,
-               parallel_speedup_total, parallel_speedup_p50);
+               speedup_total, speedup_p50, parallel_speedup_total,
+               parallel_speedup_p50);
   std::fprintf(out, "  \"batch_sweep\": [");
   for (std::size_t i = 0; i < sweep.size(); ++i) {
     std::fprintf(out,

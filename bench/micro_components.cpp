@@ -4,6 +4,8 @@
 // analysis (Sections 4.1-4.3) is written in terms of.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "common/rng.h"
 #include "core/candidate_state.h"
 #include "core/ranked_list.h"
@@ -46,17 +48,30 @@ SharedSetup& Setup() {
   return *kSetup;
 }
 
+/// The caller-side state every list mutation carries (the ScoreCache's role
+/// in the maintenance pipeline): listed score + position handle.
+struct Listed {
+  double score;
+  RankedList::Handle handle;
+};
+
 void BM_RankedListInsertErase(benchmark::State& state) {
   RankedList list;
   Rng rng(1);
   const auto n = static_cast<std::size_t>(state.range(0));
+  // Ring of the n live elements, oldest at next % n.
+  std::vector<Listed> ring(n);
   for (std::size_t i = 0; i < n; ++i) {
-    list.Insert(static_cast<ElementId>(i), rng.NextDouble());
+    const double score = rng.NextDouble();
+    ring[i] = Listed{score, list.Insert(static_cast<ElementId>(i), score)};
   }
   ElementId next = static_cast<ElementId>(n);
   for (auto _ : state) {
-    list.Insert(next, rng.NextDouble());
-    list.Erase(next - static_cast<ElementId>(n));
+    Listed& slot = ring[static_cast<std::size_t>(next) % n];
+    list.EraseHandle(next - static_cast<ElementId>(n), slot.score,
+                     slot.handle);
+    slot.score = rng.NextDouble();
+    slot.handle = list.Insert(next, slot.score);
     ++next;
   }
   state.SetItemsProcessed(state.iterations());
@@ -67,12 +82,17 @@ void BM_RankedListUpdate(benchmark::State& state) {
   RankedList list;
   Rng rng(2);
   const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<Listed> listed(n);
   for (std::size_t i = 0; i < n; ++i) {
-    list.Insert(static_cast<ElementId>(i), rng.NextDouble());
+    const double score = rng.NextDouble();
+    listed[i] = Listed{score, list.Insert(static_cast<ElementId>(i), score)};
   }
   for (auto _ : state) {
     const auto id = static_cast<ElementId>(rng.NextUint64(n));
-    list.Update(id, rng.NextDouble());
+    Listed& l = listed[static_cast<std::size_t>(id)];
+    const double score = rng.NextDouble();
+    list.UpdateHandle({id, l.score, score, &l.handle});
+    l.score = score;
   }
   state.SetItemsProcessed(state.iterations());
 }

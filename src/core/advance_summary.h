@@ -16,11 +16,9 @@
 // is what makes skipping subscriptions keyed on absent topics exact (see
 // SubscriptionManager for the per-algorithm caveats).
 //
-// `max_movement` is observational: exact (max |new - old listed|, with
-// inserts/erases contributing |listed|) on the incremental maintenance
-// paths, best-effort on the kRecompute reference baseline (score
-// magnitudes; 0 for erases). Activation decisions use topic membership
-// only.
+// `max_movement` is observational: max |new - old listed|, with
+// inserts/erases contributing |listed|, under either score source.
+// Activation decisions use topic membership only.
 #ifndef KSIR_CORE_ADVANCE_SUMMARY_H_
 #define KSIR_CORE_ADVANCE_SUMMARY_H_
 

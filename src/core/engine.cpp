@@ -1,6 +1,7 @@
 #include "core/engine.h"
 
 #include <algorithm>
+#include <cmath>
 #include <mutex>
 #include <string>
 
@@ -69,22 +70,56 @@ Status ValidateEngineConfig(const EngineConfig& config) {
   return Status::OK();
 }
 
-bool UsesHandlePipeline(const EngineConfig& config) {
-  return config.carry_handles &&
-         config.score_maintenance == ScoreMaintenance::kIncremental &&
-         config.reposition_batch_min > 0;
+Status ValidateBucket(const std::vector<SocialElement>& bucket,
+                      std::size_t num_topics) {
+  for (const SocialElement& e : bucket) {
+    for (const auto& [topic, prob] : e.topics.entries()) {
+      if (topic < 0 || static_cast<std::size_t>(topic) >= num_topics) {
+        return Status::InvalidArgument(
+            "element " + std::to_string(e.id) + ": topic " +
+            std::to_string(topic) + " outside the model's " +
+            std::to_string(num_topics) + " topics");
+      }
+      if (!std::isfinite(prob) || prob < 0.0) {
+        return Status::InvalidArgument(
+            "element " + std::to_string(e.id) + ": topic " +
+            std::to_string(topic) + " has a non-finite or negative weight");
+      }
+    }
+  }
+  return Status::OK();
+}
+
+Status ValidateQuery(const KsirQuery& query) {
+  if (query.k < 1) return Status::InvalidArgument("k must be >= 1");
+  if (query.x.empty()) {
+    return Status::InvalidArgument("query vector is empty");
+  }
+  for (const auto& [topic, weight] : query.x.entries()) {
+    if (!std::isfinite(weight) || weight < 0.0) {
+      return Status::InvalidArgument(
+          "query weight of topic " + std::to_string(topic) +
+          " is non-finite or negative");
+    }
+  }
+  const bool needs_epsilon = query.algorithm == Algorithm::kMtts ||
+                             query.algorithm == Algorithm::kMttd ||
+                             query.algorithm == Algorithm::kSieveStreaming;
+  if (needs_epsilon && (query.epsilon <= 0.0 || query.epsilon >= 1.0)) {
+    return Status::InvalidArgument("epsilon must be in (0, 1)");
+  }
+  return Status::OK();
 }
 
 bool UsesParallelMaintenance(const EngineConfig& config) {
-  return UsesHandlePipeline(config) && config.maintenance_threads >= 2;
+  return config.maintenance_threads >= 2;
 }
 
 KsirEngine::KsirEngine(EngineConfig config, const TopicModel* model,
                        WorkerPool* maintenance_pool, Telemetry* telemetry)
     : config_(config),
       window_(config.window_length, config.archive_retention),
-      index_(model != nullptr ? model->num_topics() : 1,
-             /*track_ids=*/!UsesHandlePipeline(config)),
+      index_(model != nullptr ? model->num_topics() : 1),
       scoring_(model, &window_, config.scoring),
       owned_telemetry_(telemetry == nullptr
                            ? std::make_unique<Telemetry>(config.telemetry)
@@ -136,6 +171,7 @@ Status KsirEngine::AdvanceTo(Timestamp bucket_end,
         "no-op bucket: empty bucket at the current engine time " +
         std::to_string(bucket_end));
   }
+  KSIR_RETURN_NOT_OK(ValidateBucket(bucket, index_.num_topics()));
   WallTimer timer;
   const std::size_t n = bucket.size();
   KSIR_ASSIGN_OR_RETURN(ActiveWindow::UpdateResult update,
@@ -203,16 +239,7 @@ Status KsirEngine::Append(std::vector<SocialElement> elements) {
 }
 
 StatusOr<QueryResult> KsirEngine::Query(const KsirQuery& query) const {
-  if (query.k < 1) return Status::InvalidArgument("k must be >= 1");
-  if (query.x.empty()) {
-    return Status::InvalidArgument("query vector is empty");
-  }
-  const bool needs_epsilon = query.algorithm == Algorithm::kMtts ||
-                             query.algorithm == Algorithm::kMttd ||
-                             query.algorithm == Algorithm::kSieveStreaming;
-  if (needs_epsilon && (query.epsilon <= 0.0 || query.epsilon >= 1.0)) {
-    return Status::InvalidArgument("epsilon must be in (0, 1)");
-  }
+  KSIR_RETURN_NOT_OK(ValidateQuery(query));
   std::shared_lock lock(mutex_);
   switch (query.algorithm) {
     case Algorithm::kMtts:

@@ -37,29 +37,27 @@ struct EngineConfig {
   /// <= 0 means "same as window_length" (see ActiveWindow).
   Timestamp archive_retention = 0;
   RefreshMode refresh_mode = RefreshMode::kExact;
-  /// Reposition scoring strategy; kIncremental is the production path,
-  /// kRecompute the slow reference baseline (see IndexMaintainer).
+  /// Score source of the one maintenance pipeline: kIncremental composes
+  /// cached score halves (production), kRecompute computes delta_i(e) from
+  /// scratch (the reference oracle; see IndexMaintainer).
   ScoreMaintenance score_maintenance = ScoreMaintenance::kIncremental;
   /// Minimum pending repositions per ranked list (per bucket) before the
-  /// incremental maintainer applies them as one merge sweep instead of
-  /// per-element updates. 0 disables batching (the single-reposition
-  /// reference path, kept for equivalence testing and benchmarking).
+  /// maintainer applies them as one merge sweep instead of per-element
+  /// UpdateHandle calls. 0 switches the merge sweeps off.
   std::size_t reposition_batch_min = kDefaultRepositionBatchMin;
-  /// Carry ranked-list position handles through the maintenance pipeline
-  /// (window -> score cache -> maintainer -> ranked lists), eliminating the
-  /// per-tuple id-table hash probes of the reposition hot path. false keeps
-  /// the id-keyed batched baseline (the PR 3 path) for equivalence testing
-  /// and benchmarking. Only meaningful under kIncremental with batching on.
+  /// Read the ranked-list position handles carried through the pipeline
+  /// (window -> score cache -> maintainer -> ranked lists). false switches
+  /// the handle layer off: every list position resolves by its carried
+  /// listed key, the fallback a stale handle takes anyway.
   bool carry_handles = true;
   /// Participants in the staged parallel bucket maintenance (the
   /// element-sharded scoring/folding stage and the topic-sharded list
-  /// stage; see IndexMaintainer). 0/1 = the serial reference path. Only
-  /// the handle pipeline parallelizes; other maintenance flavors ignore
-  /// this. The advancing thread is one participant — the engine spawns (or
-  /// shares; see KsirEngine's pool parameter and ServiceConfig) a runtime
-  /// WorkerPool for the remaining maintenance_threads - 1. Determinism
-  /// contract: the parallel apply is bitwise-identical to the serial
-  /// handle path, so this knob trades threads for latency only.
+  /// stages; see IndexMaintainer). 0/1 = the serial apply. The advancing
+  /// thread is one participant — the engine spawns (or shares; see
+  /// KsirEngine's pool parameter and ServiceConfig) a runtime WorkerPool
+  /// for the remaining maintenance_threads - 1. Determinism contract: the
+  /// parallel apply is bitwise-identical to the serial one, so this knob
+  /// trades threads for latency only.
   std::size_t maintenance_threads = 0;
   /// Balance cap of the service's chain-affinity shard router: routing an
   /// element onto a shard whose RECENT load (placements within the
@@ -104,14 +102,20 @@ Status AppendInBuckets(
 /// without dying; the KsirEngine constructor still CHECK-fails on them.
 Status ValidateEngineConfig(const EngineConfig& config);
 
-/// True when `config` drives the handle-carrying maintenance pipeline —
-/// incremental maintenance with batching and handle carrying on. The
-/// ranked lists then drop their id side tables entirely (positions flow
-/// through handles and self-locating carried keys).
-bool UsesHandlePipeline(const EngineConfig& config);
+/// Rejects a bucket the maintenance pipeline cannot index: an element with
+/// a non-finite or negative topic weight, or a topic id outside
+/// [0, num_topics). Checked before the window moves, so a rejected bucket
+/// leaves the engine untouched.
+Status ValidateBucket(const std::vector<SocialElement>& bucket,
+                      std::size_t num_topics);
+
+/// Rejects a malformed query: k < 1, an empty query vector, a non-finite
+/// or negative query weight, or epsilon outside (0, 1) for the
+/// epsilon-parameterized algorithms.
+Status ValidateQuery(const KsirQuery& query);
 
 /// True when `config` runs bucket maintenance on the staged parallel path
-/// (handle pipeline with maintenance_threads >= 2).
+/// (maintenance_threads >= 2).
 bool UsesParallelMaintenance(const EngineConfig& config);
 
 /// Self-contained export of one active element: the element itself plus its
@@ -152,8 +156,10 @@ class KsirEngine {
 
   /// Advances the clock to `bucket_end` and ingests `bucket` (elements with
   /// ts in (previous time, bucket_end], sorted by ts). Thread-exclusive.
-  /// Rejects out-of-order bucket ends (InvalidArgument) and no-op calls that
-  /// would neither move the clock nor ingest anything (FailedPrecondition).
+  /// Rejects out-of-order bucket ends and malformed elements (see
+  /// ValidateBucket) with InvalidArgument, and no-op calls that would
+  /// neither move the clock nor ingest anything with FailedPrecondition.
+  /// A rejected call changes nothing.
   Status AdvanceTo(Timestamp bucket_end, std::vector<SocialElement> bucket);
 
   /// Convenience: splits `elements` (sorted by ts) into buckets of

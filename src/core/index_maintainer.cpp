@@ -21,9 +21,7 @@ IndexMaintainer::IndexMaintainer(const ScoringContext* ctx,
       mode_(mode),
       maintenance_(maintenance),
       batch_min_(reposition_batch_min),
-      use_handles_(carry_handles &&
-                   maintenance == ScoreMaintenance::kIncremental &&
-                   reposition_batch_min > 0),
+      use_handles_(carry_handles),
       owned_telemetry_(telemetry == nullptr ? std::make_unique<Telemetry>()
                                             : nullptr),
       telemetry_(telemetry != nullptr ? telemetry : owned_telemetry_.get()),
@@ -65,10 +63,9 @@ IndexMaintainer::IndexMaintainer(const ScoringContext* ctx,
   summary_movement_.resize(index->num_topics(), 0.0);
   summary_seen_.resize(index->num_topics(), 0);
   edge_acc_.Resize(index->num_topics());
-  // Only the handle pipeline parallelizes: its per-topic runs carry every
-  // position and listed key, so the topic stage needs no shared lookups at
-  // all. Other flavors fall back to their serial reference paths.
-  parallel_ = pool != nullptr && parallel_workers >= 2 && use_handles_;
+  // The per-topic runs carry every position and listed key, so the topic
+  // stages need no shared lookups at all.
+  parallel_ = pool != nullptr && parallel_workers >= 2;
   if (parallel_) {
     pool_ = pool;
     workers_ = parallel_workers;
@@ -91,10 +88,10 @@ void IndexMaintainer::Apply(const ActiveWindow::UpdateResult& update) {
   bucket_elisions_ = 0;
   {
     StageScope scope(telemetry_, bucket_apply_hist_, "maint.bucket_apply");
-    if (maintenance_ == ScoreMaintenance::kIncremental) {
-      ApplyIncremental(update);
+    if (parallel_) {
+      ApplyParallel(update);
     } else {
-      ApplyRecompute(update);
+      ApplySerial(update);
     }
   }
   MaterializeSummary();
@@ -113,6 +110,23 @@ void IndexMaintainer::Apply(const ActiveWindow::UpdateResult& update) {
   }
   if (bucket_elisions_ > 0) {
     elisions_counter_->Add(static_cast<std::int64_t>(bucket_elisions_));
+  }
+}
+
+double IndexMaintainer::SourceScore(
+    const SocialElement& e, const ScoreCache::TopicHalves& half) const {
+  if (maintenance_ == ScoreMaintenance::kRecompute) {
+    return ctx_->TopicScore(half.topic, e, half.topic_prob);
+  }
+  return ctx_->params().lambda * half.semantic +
+         ctx_->influence_factor() * half.influence;
+}
+
+void IndexMaintainer::ScoreFresh(const SocialElement& e,
+                                 ScoreCache::TopicList* halves) const {
+  if (maintenance_ != ScoreMaintenance::kRecompute) return;
+  for (ScoreCache::TopicHalves& half : *halves) {
+    half.listed = SourceScore(e, half);
   }
 }
 
@@ -152,44 +166,26 @@ void IndexMaintainer::MaterializeSummary() {
 }
 
 void IndexMaintainer::EraseExpired(const ActiveWindow::Touched& t) {
-  // Expired ids are no longer in the window store. With handle carrying
-  // on, the cache entry (reached through the carried user slot) already
-  // knows every list position and listed key of the dying element, so the
-  // erases resolve through the carried hints instead of per-list id
-  // probes.
-  if (use_handles_) {
-    // Under the handle pipeline every indexed element owns a cache entry
-    // for its whole lifetime, and the id-keyed Erase below would abort on
-    // the untracked lists anyway — so a missing entry here is a pipeline
-    // bug, not a recoverable state.
-    const ScoreCache::TopicList* halves = ScoreCache::FromSlot(*t.user_slot);
-    KSIR_CHECK(halves != nullptr);
-    KSIR_DCHECK(halves == cache_.Find(t.id));
-    hint_scratch_.clear();
-    for (const ScoreCache::TopicHalves& half : *halves) {
-      hint_scratch_.push_back(
-          RankedList::ErasureHint{half.topic, half.listed, half.handle});
-      TouchSummary(half.topic, std::abs(half.listed));
-    }
-    index_->EraseWithHints(t.id, hint_scratch_.data(), hint_scratch_.size());
-    cache_.Erase(t.id);
-    return;
+  // Expired ids are no longer in the window store. The cache entry
+  // (reached through the carried user slot) already knows every list
+  // position and listed key of the dying element, so the erases resolve
+  // through the carried hints. Every indexed element owns a cache entry for
+  // its whole lifetime, so a missing entry here is a pipeline bug, not a
+  // recoverable state.
+  ScoreCache::TopicList* halves = ScoreCache::FromSlot(*t.user_slot);
+  KSIR_CHECK(halves != nullptr);
+  KSIR_DCHECK(halves == cache_.Find(t.id));
+  hint_scratch_.clear();
+  for (ScoreCache::TopicHalves& half : *halves) {
+    hint_scratch_.push_back(
+        RankedList::ErasureHint{half.topic, half.listed, *HintOf(&half)});
+    TouchSummary(half.topic, std::abs(half.listed));
   }
-  if (const ScoreCache::TopicList* halves = cache_.Find(t.id)) {
-    for (const ScoreCache::TopicHalves& half : *halves) {
-      TouchSummary(half.topic, std::abs(half.listed));
-    }
-  }
-  index_->Erase(t.id);
+  index_->EraseWithHints(t.id, hint_scratch_.data(), hint_scratch_.size());
   cache_.Erase(t.id);
 }
 
-void IndexMaintainer::ApplyIncremental(
-    const ActiveWindow::UpdateResult& update) {
-  if (parallel_) {
-    ApplyIncrementalParallel(update);
-    return;
-  }
+void IndexMaintainer::ApplySerial(const ActiveWindow::UpdateResult& update) {
   {
     // Expiry first; fresh-element insertion shares the stage (it is the
     // serial path's window/membership layout work, matching the parallel
@@ -210,8 +206,8 @@ void IndexMaintainer::ApplyIncremental(
     // cache always holds the true I_{i,t}(e), so the next reposition lands
     // exactly where a full recompute would). Within one element the gained
     // terms are applied before the lost terms, and elements do not
-    // interact, so the composed doubles are bitwise identical across the
-    // handle, batched and single-reposition paths.
+    // interact, so the composed doubles are bitwise identical to the
+    // staged parallel apply's.
     for (const ActiveWindow::Touched& t : update.gained_referrer) {
       ProcessTouched(t, /*reposition=*/true, /*te_changed=*/true);
     }
@@ -229,73 +225,19 @@ void IndexMaintainer::ApplyIncremental(
   FlushRepositions();
 }
 
-void IndexMaintainer::ApplyRecompute(
-    const ActiveWindow::UpdateResult& update) {
-  // Summary movements on this baseline are best-effort (score magnitudes;
-  // 0 for erases) — the topic SETS are exact, which is all activation
-  // needs. See advance_summary.h.
-  const auto touch_all =
-      [this](const std::vector<std::pair<TopicId, double>>& scores) {
-        for (const auto& [topic, score] : scores) {
-          TouchSummary(topic, std::abs(score));
-        }
-      };
-  {
-    StageScope scope(telemetry_, stage_expiry_hist_, "maint.expiry");
-    for (const ActiveWindow::Touched& t : update.expired) {
-      for (const auto& [topic, prob] : t.element->topics.entries()) {
-        TouchSummary(topic, 0.0);
-      }
-      index_->Erase(t.id);
-    }
-  }
-  // The recompute baseline has no decomposed score stage: every insert /
-  // update below recomputes delta_i(e) inline with the list write, so the
-  // whole remainder is the list-apply stage.
-  StageScope scope(telemetry_, stage_list_apply_hist_, "maint.list_apply");
-  for (const ActiveWindow::Touched& t : update.inserted) {
-    const auto scores = ctx_->AllTopicScores(*t.element);
-    touch_all(scores);
-    index_->Insert(t.id, scores, t.te);
-  }
-  // Resurrected elements were erased from the lists when they deactivated;
-  // they re-enter with freshly computed scores.
-  for (const ActiveWindow::Touched& t : update.resurrected) {
-    const auto scores = ctx_->AllTopicScores(*t.element);
-    touch_all(scores);
-    index_->Insert(t.id, scores, t.te);
-  }
-  for (const ActiveWindow::Touched& t : update.gained_referrer) {
-    const auto scores = ctx_->AllTopicScores(*t.element);
-    touch_all(scores);
-    index_->Update(t.id, scores, t.te);
-  }
-  for (const ActiveWindow::Touched& t : update.lost_referrer) {
-    const auto scores = ctx_->AllTopicScores(*t.element);
-    // Losses move true scores in both refresh modes; only kExact writes
-    // them back into the lists.
-    touch_all(scores);
-    if (mode_ == RefreshMode::kExact) index_->Update(t.id, scores, t.te);
-  }
-}
-
 void IndexMaintainer::InsertFresh(const ActiveWindow::Touched& t) {
   ScoreCache::TopicList& halves = cache_.Insert(*t.element);
-  if (use_handles_) *t.user_slot = &halves;  // carried to every later touch
-  scratch_scores_.clear();
-  scratch_scores_.reserve(halves.size());
+  ScoreFresh(*t.element, &halves);
+  *t.user_slot = &halves;  // carried to every later touch
+  topic_id_scratch_.clear();
   for (const ScoreCache::TopicHalves& half : halves) {
-    scratch_scores_.emplace_back(half.topic, half.listed);
-    TouchSummary(half.topic, std::abs(half.listed));
+    topic_id_scratch_.push_back(half.topic);
   }
-  if (use_handles_) {
-    handle_scratch_.resize(halves.size());
-    index_->Insert(t.id, scratch_scores_, t.te, handle_scratch_.data());
-    for (std::size_t i = 0; i < halves.size(); ++i) {
-      halves[i].handle = handle_scratch_[i];
-    }
-  } else {
-    index_->Insert(t.id, scratch_scores_, t.te);
+  index_->InsertMembership(t.id, topic_id_scratch_.data(),
+                           topic_id_scratch_.size(), t.te);
+  for (ScoreCache::TopicHalves& half : halves) {
+    half.handle = index_->InsertListEntry(half.topic, t.id, half.listed);
+    TouchSummary(half.topic, std::abs(half.listed));
   }
 }
 
@@ -303,12 +245,9 @@ void IndexMaintainer::ProcessTouched(const ActiveWindow::Touched& t,
                                      bool reposition, bool te_changed) {
   // Everything this element's bucket work needs — edge topic vectors, t_e,
   // and (through the carried user slot) the cache entry with its listed
-  // scores and list positions — arrived in the Touched record; the
-  // id-keyed reference path re-derives the entry by hashing instead.
-  ScoreCache::TopicList& halves =
-      use_handles_ ? *ScoreCache::FromSlot(*t.user_slot)
-                   : cache_.MutableHalves(t.id);
-  KSIR_DCHECK(&halves == &cache_.MutableHalves(t.id));
+  // scores and list positions — arrived in the Touched record.
+  ScoreCache::TopicList& halves = *ScoreCache::FromSlot(*t.user_slot);
+  KSIR_DCHECK(&halves == cache_.Find(t.id));
   if (t.num_gained + t.num_lost > 0) FoldEdges(t, &halves, &edge_acc_);
   if (!reposition) {
     // kPaper referrer loss: the lists keep the stale-high tuples, but the
@@ -318,56 +257,21 @@ void IndexMaintainer::ProcessTouched(const ActiveWindow::Touched& t,
     if (t.num_gained + t.num_lost > 0) TouchElidedLoss(halves, edge_acc_);
     return;
   }
-  const double lambda = ctx_->params().lambda;
-  const double influence_factor = ctx_->influence_factor();
-  if (batch_min_ == 0) {
-    // Single-reposition reference path (the PR 2 baseline).
-    scratch_scores_.clear();
-    scratch_scores_.reserve(halves.size());
-    for (ScoreCache::TopicHalves& half : halves) {
-      const double score =
-          lambda * half.semantic + influence_factor * half.influence;
-      if (score != half.listed) {
-        TouchSummary(half.topic, std::abs(score - half.listed));
-      }
-      half.listed = score;
-      scratch_scores_.emplace_back(half.topic, score);
-    }
-    index_->UpdateTrusted(t.id, scratch_scores_, t.te);
-    bucket_repositions_ += halves.size();  // this path never elides
-    return;
-  }
   // t_e is per element, written once; the per-topic runs carry only score
   // changes, so a gained referrer sharing none of a topic's support leaves
   // that topic's list untouched.
   if (te_changed) index_->TouchTime(t.id, t.te);
   for (ScoreCache::TopicHalves& half : halves) {
-    const double score =
-        lambda * half.semantic + influence_factor * half.influence;
-    if (use_handles_) {
-      // Handle path: queue only tuples whose KEY moves.
-      if (score == half.listed) {
-        ++bucket_elisions_;
-        continue;
-      }
-      pending_handles_.push_back(
-          {half.topic, RankedList::HandleUpdate{t.id, half.listed, score,
-                                                &half.handle}});
-      TouchSummary(half.topic, std::abs(score - half.listed));
-    } else {
-      // Id-keyed batched baseline (PR 3 tuple volume): a gained referral
-      // queues every topic — the per-tuple id resolution then discovers
-      // the unchanged keys, exactly as the PR 3 ApplyBatch did.
-      if (!te_changed && score == half.listed) {
-        ++bucket_elisions_;
-        continue;
-      }
-      if (score != half.listed) {
-        TouchSummary(half.topic, std::abs(score - half.listed));
-      }
-      pending_tuples_.push_back(
-          {half.topic, RankedList::Tuple{t.id, score}});
+    const double score = SourceScore(*t.element, half);
+    // Queue only tuples whose KEY moves.
+    if (score == half.listed) {
+      ++bucket_elisions_;
+      continue;
     }
+    pending_handles_.push_back(
+        {half.topic,
+         RankedList::HandleUpdate{t.id, half.listed, score, HintOf(&half)}});
+    TouchSummary(half.topic, std::abs(score - half.listed));
     ++bucket_repositions_;
     half.listed = score;
     const auto topic = static_cast<std::size_t>(half.topic);
@@ -403,26 +307,23 @@ void IndexMaintainer::FoldEdges(const ActiveWindow::Touched& t,
   }
 }
 
-template <typename PendingT, typename ApplyFn>
-void IndexMaintainer::FlushRuns(std::vector<PendingT>* pending,
-                                ApplyFn apply) {
-  // Scatter the queued (topic, payload) pairs into contiguous per-topic
+void IndexMaintainer::FlushRepositions() {
+  // Scatter the queued (topic, update) pairs into contiguous per-topic
   // runs. Processing list by list (instead of element by element across
   // all of its lists) keeps each chunk directory hot, and lists with
   // enough pending work take the one-pass merge sweep. Topic order is
   // sorted only for determinism of the arena layout; the runs are
-  // independent.
-  using Payload = decltype(PendingT::payload);
-  Payload* runs = nullptr;
+  // independent. No early-out on an empty queue: both stage scopes record
+  // on every bucket, keeping the per-bucket histogram counts exact.
+  RankedList::HandleUpdate* runs = nullptr;
   std::uint32_t* offsets = nullptr;
   {
     // Stage accounting mirrors the parallel apply: the sort + run scatter
-    // is the gather stage, the per-list sweeps below are list_apply. Both
-    // record on every bucket (including empty ones) so the serial and
-    // parallel stage breakdowns stay comparable.
+    // is the gather stage, the per-list sweeps below are list_apply.
     StageScope scope(telemetry_, stage_gather_hist_, "maint.gather");
     run_arena_.Reset();
-    runs = run_arena_.AllocateArray<Payload>(pending->size());
+    runs = run_arena_.AllocateArray<RankedList::HandleUpdate>(
+        pending_handles_.size());
     std::sort(touched_.begin(), touched_.end());
     // offsets[t] = start of topic t's run; reuses topic_counts_ as cursor.
     offsets = run_arena_.AllocateArray<std::uint32_t>(touched_.size());
@@ -435,7 +336,7 @@ void IndexMaintainer::FlushRuns(std::vector<PendingT>* pending,
       topic_counts_[t] = offset;
       offset += count;
     }
-    for (const PendingT& item : *pending) {
+    for (const PendingHandle& item : pending_handles_) {
       runs[topic_counts_[static_cast<std::size_t>(item.topic)]++] =
           item.payload;
     }
@@ -446,11 +347,12 @@ void IndexMaintainer::FlushRuns(std::vector<PendingT>* pending,
     const std::uint32_t begin = offsets[i];
     const std::uint32_t end = topic_counts_[static_cast<std::size_t>(topic)];
     const std::size_t count = end - begin;
-    apply(topic, runs + begin, count, /*merge=*/count >= batch_min_);
+    index_->BatchRepositionHandles(topic, runs + begin, count, Merges(count),
+                                   &batch_scratch_);
     topic_counts_[static_cast<std::size_t>(topic)] = 0;
   }
   touched_.clear();
-  pending->clear();
+  pending_handles_.clear();
 }
 
 void IndexMaintainer::ProcessTouchedParallel(TouchedItem* item,
@@ -486,23 +388,19 @@ void IndexMaintainer::ProcessTouchedParallel(TouchedItem* item,
     item->num_updates = n;
     return;
   }
-  const double lambda = ctx_->params().lambda;
-  const double influence_factor = ctx_->influence_factor();
   std::uint32_t n = 0;
   for (ScoreCache::TopicHalves& half : halves) {
-    const double score =
-        lambda * half.semantic + influence_factor * half.influence;
+    const double score = SourceScore(*t.element, half);
     if (score == half.listed) continue;
     item->updates[n++] = PendingHandle{
         half.topic,
-        RankedList::HandleUpdate{t.id, half.listed, score, &half.handle}};
+        RankedList::HandleUpdate{t.id, half.listed, score, HintOf(&half)}};
     half.listed = score;
   }
   item->num_updates = n;
 }
 
-void IndexMaintainer::ApplyIncrementalParallel(
-    const ActiveWindow::UpdateResult& update) {
+void IndexMaintainer::ApplyParallel(const ActiveWindow::UpdateResult& update) {
   PendingInsert* insert_runs = nullptr;
   RankedList::HandleUpdate* update_runs = nullptr;
   std::uint32_t* insert_off = nullptr;
@@ -519,14 +417,14 @@ void IndexMaintainer::ApplyIncrementalParallel(
     erase_items_.clear();
     erase_topics_.clear();
     for (const ActiveWindow::Touched& t : update.expired) {
-      const ScoreCache::TopicList* halves = ScoreCache::FromSlot(*t.user_slot);
+      ScoreCache::TopicList* halves = ScoreCache::FromSlot(*t.user_slot);
       KSIR_CHECK(halves != nullptr);
       KSIR_DCHECK(halves == cache_.Find(t.id));
       topic_id_scratch_.clear();
-      for (const ScoreCache::TopicHalves& half : *halves) {
+      for (ScoreCache::TopicHalves& half : *halves) {
         TouchSummary(half.topic, std::abs(half.listed));
         erase_items_.push_back(
-            PendingErase{half.topic, t.id, half.listed, half.handle});
+            PendingErase{half.topic, t.id, half.listed, *HintOf(&half)});
         topic_id_scratch_.push_back(half.topic);
         const auto slot = static_cast<std::size_t>(half.topic);
         if (erase_seen_[slot] == 0) {
@@ -588,7 +486,7 @@ void IndexMaintainer::ApplyIncrementalParallel(
     const auto add_touched = [this](const ActiveWindow::Touched& t,
                                     bool reposition, bool te_changed) {
       ScoreCache::TopicList* halves = ScoreCache::FromSlot(*t.user_slot);
-      KSIR_DCHECK(halves == &cache_.MutableHalves(t.id));
+      KSIR_DCHECK(halves == cache_.Find(t.id));
       TouchedItem item;
       item.touched = &t;
       item.halves = halves;
@@ -626,8 +524,9 @@ void IndexMaintainer::ApplyIncrementalParallel(
               cursor.fetch_add(1, std::memory_order_relaxed);
           if (i >= total) return;
           if (i < num_fresh) {
-            cache_.ComputeHalves(*fresh_items_[i].element,
-                                 fresh_items_[i].halves, &acc);
+            const FreshItem& item = fresh_items_[i];
+            cache_.ComputeHalves(*item.element, item.halves, &acc);
+            ScoreFresh(*item.element, item.halves);
           } else {
             ProcessTouchedParallel(&touched_items_[i - num_fresh], &acc);
           }
@@ -764,7 +663,7 @@ void IndexMaintainer::ApplyIncrementalParallel(
         const std::uint32_t n = update_off[i + 1] - begin;
         if (n > 0) {
           index_->BatchRepositionHandles(topic, update_runs + begin, n,
-                                         /*merge=*/n >= batch_min_, &scratch);
+                                         Merges(n), &scratch);
         }
       });
 
@@ -774,26 +673,6 @@ void IndexMaintainer::ApplyIncrementalParallel(
     topic_counts_[static_cast<std::size_t>(topic)] = 0;
   }
   touched_.clear();
-}
-
-void IndexMaintainer::FlushRepositions() {
-  // No early-out on empty queues: FlushRuns degenerates to two cheap
-  // stage-scope records, keeping the per-bucket histogram counts exact.
-  if (use_handles_) {
-    FlushRuns(&pending_handles_,
-              [this](TopicId topic, const RankedList::HandleUpdate* runs,
-                     std::size_t n, bool merge) {
-                index_->BatchRepositionHandles(topic, runs, n, merge,
-                                               &batch_scratch_);
-              });
-  } else {
-    FlushRuns(&pending_tuples_,
-              [this](TopicId topic, const RankedList::Tuple* runs,
-                     std::size_t n, bool merge) {
-                index_->BatchReposition(topic, runs, n, merge,
-                                        &batch_scratch_);
-              });
-  }
 }
 
 }  // namespace ksir

@@ -4,7 +4,6 @@
 #define KSIR_CORE_INDEX_MAINTAINER_H_
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include <memory>
@@ -33,43 +32,52 @@ enum class RefreshMode {
   kPaper,
 };
 
-/// How reposition scores are produced.
+/// The score source of the maintenance pipeline: where the listed score
+/// delta_i(e) of a fresh or repositioned element comes from. Both sources
+/// drive the same pipeline (cache entries, handles, elision, summaries);
+/// only the composed number differs.
 enum class ScoreMaintenance {
   /// ScoreCache decomposition: the semantic half is computed once per
-  /// element lifetime and the influence half updated per edge, making a
-  /// reposition O(|shared topics|). Default.
+  /// element lifetime and the influence half updated per edge, so a
+  /// reposition composes lambda * R + eta' * I in O(|shared topics|).
+  /// Default.
   kIncremental,
-  /// Recompute delta_i(e) from scratch (full word scan per topic plus a
-  /// referrer-set scan) on every reposition. The pre-decomposition
-  /// behavior; kept as the reference baseline for equivalence tests and the
-  /// hot-path benchmark.
+  /// delta_i(e) from scratch (ScoringContext::TopicScore: full word scan
+  /// plus a referrer-set scan) wherever the pipeline composes a score. The
+  /// reference oracle for the equivalence tests; agrees with kIncremental
+  /// within floating-point tolerance.
   kRecompute,
 };
 
 /// Default IndexMaintainer batching threshold: lists with at least this
-/// many pending repositions in a bucket are updated by one ApplyBatch merge
-/// sweep; sparser lists keep the single-reposition fast path. Chosen from
-/// the hotpath bench's batch-size sweep (see BENCH_hotpath.json).
+/// many pending repositions in a bucket are updated by one merge sweep;
+/// sparser lists take per-element UpdateHandle calls. Chosen from the
+/// hotpath bench's batch-size sweep (see BENCH_hotpath.json).
 inline constexpr std::size_t kDefaultRepositionBatchMin = 2;
 
 /// Applies window updates to the ranked lists (Algorithm 1 lines 4-13).
 ///
-/// Under kIncremental maintenance the repositions of a bucket are batched:
-/// the per-topic pending runs are built entirely from state already carried
-/// by the pipeline — the window report's Touched records (element pointer,
-/// final t_e, gained/lost referrer topic spans) and the ScoreCache entry
-/// (score halves, listed score, ranked-list handle). With handle carrying
-/// on (the default) a bucket's reposition work performs ONE cache probe per
-/// touched element and zero ranked-list id-table probes on the no-split
-/// fast path; `carry_handles = false` preserves the id-keyed batched
-/// baseline for equivalence testing and benchmarking. All batching state is
-/// owned by this maintainer — one engine's maintainer never shares mutable
-/// state with another's, which is what lets the sharded service advance
-/// shards in parallel.
+/// There is one pipeline. A bucket's repositions are built entirely from
+/// state already carried by the pipeline — the window report's Touched
+/// records (element pointer, final t_e, gained/lost referrer topic spans,
+/// the user slot holding the element's ScoreCache entry) and the entry
+/// itself (score halves, listed score, ranked-list handle) — so a touched
+/// element costs no hash probe. Per-topic runs of the changed keys are
+/// applied by one merge sweep per list (or per-element UpdateHandle below
+/// the batching threshold). All batching state is owned by this maintainer
+/// — one engine's maintainer never shares mutable state with another's,
+/// which is what lets the sharded service advance shards in parallel.
 ///
-/// With a runtime WorkerPool and `parallel_workers >= 2` the handle
-/// pipeline's bucket apply runs STAGED (see ApplyIncrementalParallel),
-/// and every stage that touches list memory fans out:
+/// Three constructor knobs each switch off one layer of that pipeline,
+/// never selecting a different apply: `reposition_batch_min = 0` turns off
+/// the merge sweeps (every reposition is a per-element UpdateHandle);
+/// `carry_handles = false` stops reading list handles (positions resolve
+/// by the carried listed key, the fallback a stale handle already takes);
+/// a pool with `parallel_workers < 2` runs the apply serially.
+///
+/// With a runtime WorkerPool and `parallel_workers >= 2` the bucket apply
+/// runs STAGED (see ApplyParallel), and every stage that touches list
+/// memory fans out:
 ///   1. expiry — a serial prologue walks the expired elements (summary
 ///      touches, membership + cache erases: hash maps and pools are
 ///      single-threaded state) copying each carried per-topic hint out of
@@ -95,16 +103,18 @@ inline constexpr std::size_t kDefaultRepositionBatchMin = 2;
 /// affinity; see runtime/worker_pool.h). Because every list sees the
 /// identical operation sequence the serial path would produce, the
 /// resulting lists, handles and ScoreCache state are BITWISE identical to
-/// the serial handle path.
+/// the serial apply. The staged apply stays because it pays at high bucket
+/// density: with 4 threads on 4 cores at 10x paper bucket density it
+/// halved wall-clock bucket p50 (see README).
 class IndexMaintainer {
  public:
   /// `ctx` and `index` must outlive the maintainer; `ctx`'s window must be
-  /// the window whose updates are applied. `reposition_batch_min` is the
-  /// per-list batching threshold; 0 disables batching entirely (the
-  /// single-reposition reference path, which also disables handle
-  /// carrying). `pool` + `parallel_workers >= 2` enable the staged
-  /// parallel apply (handle pipeline only; `pool` must outlive the
-  /// maintainer and may be shared — the stages fan out through
+  /// the window whose updates are applied. `maintenance` picks the score
+  /// source. `reposition_batch_min` is the per-list merge-sweep threshold
+  /// (0 = never merge). `carry_handles = false` resolves every list
+  /// position by its carried key instead of its handle. `pool` +
+  /// `parallel_workers >= 2` enable the staged parallel apply (`pool` must
+  /// outlive the maintainer and may be shared — the stages fan out through
   /// ParallelRun, whose caller participation tolerates a busy pool).
   /// `telemetry` (optional, must outlive the maintainer) receives the
   /// per-stage bucket-apply histograms (`ksir_maintainer_stage_*_seconds`)
@@ -122,49 +132,56 @@ class IndexMaintainer {
   /// advance, with no interleaved advances.
   void Apply(const ActiveWindow::UpdateResult& update);
 
-  RefreshMode mode() const { return mode_; }
-  ScoreMaintenance maintenance() const { return maintenance_; }
-  std::size_t reposition_batch_min() const { return batch_min_; }
-  bool carries_handles() const { return use_handles_; }
-  /// True when buckets run the staged parallel apply.
-  bool parallel() const { return parallel_; }
-
-  /// The cache backing kIncremental maintenance (exposed for tests).
-  const ScoreCache& score_cache() const { return cache_; }
-
   /// Touched-topic summary of the most recent Apply() (epoch unset; the
   /// engine stamps it). Valid until the next Apply.
   const AdvanceSummary& last_summary() const { return summary_; }
 
  private:
-  void ApplyIncremental(const ActiveWindow::UpdateResult& update);
-  void ApplyIncrementalParallel(const ActiveWindow::UpdateResult& update);
-  void ApplyRecompute(const ActiveWindow::UpdateResult& update);
+  void ApplySerial(const ActiveWindow::UpdateResult& update);
+  void ApplyParallel(const ActiveWindow::UpdateResult& update);
+
+  /// The score source: delta_i(e) of one support topic, composed from the
+  /// cached halves (kIncremental) or from scratch (kRecompute).
+  double SourceScore(const SocialElement& e,
+                     const ScoreCache::TopicHalves& half) const;
+
+  /// Fills the listed scores of a fresh entry whose halves were just
+  /// computed: ComputeHalves already composed them for kIncremental;
+  /// kRecompute overwrites them from scratch.
+  void ScoreFresh(const SocialElement& e, ScoreCache::TopicList* halves) const;
+
+  /// The handle slot a list operation reads its position hint from. With
+  /// handle carrying off the hint is cleared first, so the list resolves
+  /// the position by the carried key.
+  RankedList::Handle* HintOf(ScoreCache::TopicHalves* half) const {
+    if (!use_handles_) half->handle = RankedList::Handle{};
+    return &half->handle;
+  }
+
+  /// True when a list with `n` pending repositions takes the merge sweep.
+  bool Merges(std::size_t n) const {
+    return batch_min_ > 0 && n >= batch_min_;
+  }
 
   /// Erases one expired element from the lists and the cache (the serial
   /// apply path; the parallel apply shards the list erases by topic — see
-  /// ApplyIncrementalParallel stage 1).
+  /// ApplyParallel stage 1).
   void EraseExpired(const ActiveWindow::Touched& t);
 
   /// Inserts a fresh / resurrected element into the cache and the lists,
-  /// seeding the cache entry's handles when handle carrying is on.
+  /// seeding the cache entry's handles.
   void InsertFresh(const ActiveWindow::Touched& t);
 
   /// One touched element of a bucket: applies its carried edge spans to the
-  /// cached influence halves, then (when `reposition` is set) repositions
-  /// it — queueing per-topic pending runs, or updating the lists directly
-  /// on the single-reposition reference path. When `te_changed` is false
-  /// (referrer loss — t_e is a running max), tuples whose composed score
-  /// equals the listed score are elided.
+  /// cached influence halves, then (when `reposition` is set) queues the
+  /// topics whose score moved into the per-topic pending runs; unchanged
+  /// topics are elided. `te_changed` writes the element's new t_e.
   void ProcessTouched(const ActiveWindow::Touched& t, bool reposition,
                       bool te_changed);
 
   /// Scatters the queued repositions into arena-backed per-topic runs and
-  /// applies each touched list's run in one BatchReposition call.
+  /// applies each touched list's run in one BatchRepositionHandles call.
   void FlushRepositions();
-
-  template <typename PendingT, typename ApplyFn>
-  void FlushRuns(std::vector<PendingT>* pending, ApplyFn apply);
 
   /// Scatters one element's carried edge spans into `acc` and folds them
   /// into the cached influence halves (the shared edge-folding kernel of
@@ -194,6 +211,7 @@ class IndexMaintainer {
   RefreshMode mode_;
   ScoreMaintenance maintenance_;
   std::size_t batch_min_;
+  /// Read list handles (false: resolve positions by the carried key).
   bool use_handles_;
   /// Staged parallel apply: pool + participant count (the advancing thread
   /// is participant 0; the pool supplies helpers).
@@ -205,8 +223,8 @@ class IndexMaintainer {
   /// null-checks them.
   std::unique_ptr<Telemetry> owned_telemetry_;
   Telemetry* telemetry_;
-  /// Stage histograms (recorded only when timing is enabled; see
-  /// telemetry.h for the stage -> code mapping in each apply flavor).
+  /// Stage histograms (recorded only when timing is enabled); the serial
+  /// and staged applies record the same four stages.
   Histogram* stage_expiry_hist_;
   Histogram* stage_score_hist_;
   Histogram* stage_gather_hist_;
@@ -229,26 +247,22 @@ class IndexMaintainer {
   std::vector<std::uint8_t> summary_seen_;
   std::vector<TopicId> summary_topics_;
   ScoreCache cache_;
-  /// Reused (topic, score) buffer; repositions are too frequent to allocate.
-  std::vector<std::pair<TopicId, double>> scratch_scores_;
-  std::vector<RankedList::Handle> handle_scratch_;
   SmallVector<RankedList::ErasureHint, 8> hint_scratch_;
+  /// An element's support topics, in its topic-vector order (membership
+  /// rows of fresh inserts and parallel-apply erases).
+  std::vector<TopicId> topic_id_scratch_;
 
   /// ---- per-bucket batching state (live only within one Apply call) ----
   /// One pending ranked-list reposition per (topic, element), in queue
-  /// order; the handle flavor points back into the ScoreCache entry so the
-  /// list writes the refreshed position hint straight through.
+  /// order; it points back into the ScoreCache entry so the list writes
+  /// the refreshed position hint straight through.
   struct PendingHandle {
     TopicId topic;
     RankedList::HandleUpdate payload;
   };
-  struct PendingTuple {
-    TopicId topic;
-    RankedList::Tuple payload;
-  };
   std::vector<PendingHandle> pending_handles_;
-  std::vector<PendingTuple> pending_tuples_;
-  /// Pending tuples per topic this bucket; zeroed lazily via `touched_`.
+  /// Pending repositions per topic this bucket; zeroed lazily via
+  /// `touched_`.
   std::vector<std::uint32_t> topic_counts_;
   std::vector<TopicId> touched_;
   /// Dense per-topic edge accumulator (stamp-cleared per element): one
@@ -307,7 +321,6 @@ class IndexMaintainer {
   std::vector<std::uint32_t> topic_shard_;
   std::vector<FreshItem> fresh_items_;
   std::vector<TouchedItem> touched_items_;
-  std::vector<TopicId> topic_id_scratch_;
   /// Pending fresh list inserts per topic (the reposition counts reuse
   /// topic_counts_); zeroed lazily via touched_.
   std::vector<std::uint32_t> insert_counts_;

@@ -76,10 +76,4 @@ const ScoreCache::TopicList* ScoreCache::Find(ElementId id) const {
   return it == entries_.end() ? nullptr : it->second;
 }
 
-ScoreCache::TopicList& ScoreCache::MutableHalves(ElementId id) {
-  const auto it = entries_.find(id);
-  KSIR_CHECK(it != entries_.end());
-  return *it->second;
-}
-
 }  // namespace ksir

@@ -110,21 +110,17 @@ class ScoreCache {
 
   bool Contains(ElementId id) const { return entries_.contains(id); }
 
-  /// Entry of a present element, or nullptr.
+  /// Entry of a present element, or nullptr. The maintainer reaches
+  /// entries through the carried slot; this lookup backs its debug checks.
   const TopicList* Find(ElementId id) const;
-
-  /// The cached halves of a present element, for the maintainer: it applies
-  /// the window report's edge spans, composes scores straight into its
-  /// per-topic pending runs and refreshes `listed` / `handle` as it queues.
-  TopicList& MutableHalves(ElementId id);
 
   std::size_t size() const { return entries_.size(); }
 
  private:
   const ScoringContext* ctx_;
   /// id -> pool-stable entry. The map is consulted once per element
-  /// lifetime on each end (insert / erase) plus by the id-keyed reference
-  /// paths; the handle pipeline reaches entries through the carried slot.
+  /// lifetime on each end (insert / erase); the pipeline reaches entries
+  /// through the carried slot in between.
   FlatHashMap<ElementId, TopicList*> entries_;
   ObjectPool<TopicList> pool_;
   /// Dense per-topic accumulator of Insert's one-pass influence

@@ -101,14 +101,4 @@ double ScoringContext::ElementScore(const SocialElement& e,
   return score;
 }
 
-std::vector<std::pair<TopicId, double>> ScoringContext::AllTopicScores(
-    const SocialElement& e) const {
-  std::vector<std::pair<TopicId, double>> scores;
-  scores.reserve(e.topics.nnz());
-  for (const auto& [topic, prob] : e.topics.entries()) {
-    scores.emplace_back(topic, TopicScore(topic, e, prob));
-  }
-  return scores;
-}
-
 }  // namespace ksir

@@ -11,7 +11,6 @@
 #ifndef KSIR_CORE_SCORING_H_
 #define KSIR_CORE_SCORING_H_
 
-#include <utility>
 #include <vector>
 
 #include "common/sparse_vector.h"
@@ -68,10 +67,6 @@ class ScoringContext {
   /// delta(e, x) over the intersection of the query's and the element's
   /// topic supports. Cost O(l * d) per the paper's analysis.
   double ElementScore(const SocialElement& e, const SparseVector& x) const;
-
-  /// (topic, delta_i(e)) for every topic in e's support with p_i(e) > 0.
-  std::vector<std::pair<TopicId, double>> AllTopicScores(
-      const SocialElement& e) const;
 
   const TopicModel& model() const { return *model_; }
   const ActiveWindow& window() const { return *window_; }

@@ -85,6 +85,9 @@ KsirService::KsirService(ServiceConfig config, const TopicModel* model)
 
 Status KsirService::AdvanceTo(Timestamp bucket_end,
                               std::vector<SocialElement> bucket) {
+  // Reject malformed elements before routing: a shard refusing its slice
+  // after its siblings advanced would leave the shards at mixed times.
+  KSIR_RETURN_NOT_OK(ValidateBucket(bucket, shards_[0]->index().num_topics()));
   // Seqlock write side: generation is odd while shard states are mixed.
   write_generation_.fetch_add(1, std::memory_order_acq_rel);
   const Status ingested = ingestor_->AdvanceTo(bucket_end, std::move(bucket));
@@ -127,6 +130,7 @@ StatusOr<QueryResult> KsirService::Query(const KsirQuery& query) const {
   // path, so these spans ride along whenever the tracer is already armed
   // (the cache-lookup span of a sampled plan's query, approximately).
   queries_counter_->Add(1);
+  KSIR_RETURN_NOT_OK(ValidateQuery(query));
   StageScope query_scope(telemetry_.get(), query_hist_, "service.query");
   const std::uint64_t generation =
       write_generation_.load(std::memory_order_acquire);

@@ -114,14 +114,17 @@ class KsirService {
 
   /// Ingests one bucket: partitions it across the shards, advances them in
   /// parallel, bumps the service epoch (invalidating cached results) and —
-  /// when configured — re-evaluates the standing queries.
+  /// when configured — re-evaluates the standing queries. A bucket with a
+  /// malformed element (see ValidateBucket) is rejected before routing
+  /// with InvalidArgument and changes nothing.
   Status AdvanceTo(Timestamp bucket_end, std::vector<SocialElement> bucket);
 
   /// Splits `elements` (sorted by ts) into buckets and ingests them all.
   Status Append(std::vector<SocialElement> elements);
 
   /// Answers an ad-hoc k-SIR query: epoch-keyed cache first, then the
-  /// fan-out/merge planner. Thread-safe.
+  /// fan-out/merge planner. Malformed queries (see ValidateQuery) fail
+  /// with InvalidArgument before the cache is consulted. Thread-safe.
   StatusOr<QueryResult> Query(const KsirQuery& query) const;
 
   /// Standing subscriptions (evaluated through the cached planner path).

@@ -1,6 +1,7 @@
 #include "stream/stream_io.h"
 
 #include <charconv>
+#include <cmath>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -150,7 +151,7 @@ StatusOr<std::vector<SocialElement>> ReadStreamTsv(std::istream* in) {
         if (colon == std::string_view::npos ||
             !ParseInt(part.substr(0, colon), &topic) ||
             !ParseDouble(part.substr(colon + 1), &prob) || topic < 0 ||
-            prob <= 0.0) {
+            !std::isfinite(prob) || prob <= 0.0) {
           return Status::IOError("line " + std::to_string(line_no) +
                                  ": bad topic:prob token");
         }

@@ -21,7 +21,8 @@ Status WriteStreamTsv(const std::vector<SocialElement>& elements,
                       std::ostream* out);
 
 /// Reads a stream previously written by WriteStreamTsv. Validates that ids
-/// are unique and timestamps non-decreasing.
+/// are unique, timestamps non-decreasing and topic probabilities finite and
+/// positive; a violation is an IOError naming the line.
 StatusOr<std::vector<SocialElement>> ReadStreamTsv(std::istream* in);
 
 }  // namespace ksir

@@ -1,7 +1,9 @@
 // Tests of the KsirEngine facade: bucketing, validation, statistics, and
 // concurrent query safety.
 #include <atomic>
+#include <limits>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -55,6 +57,79 @@ TEST(EngineTest, AdvanceToRejectsDuplicateIds) {
   auto duplicate = elements[0];
   duplicate.ts = 2;
   EXPECT_FALSE(engine.AdvanceTo(2, {duplicate}).ok());
+}
+
+/// The three malformed-element cases the maintenance pipeline cannot index
+/// on the paper's 2-topic model: a NaN weight, an infinite weight and a
+/// topic id past the model.
+std::vector<SocialElement> MalformedElements(ElementId id, Timestamp ts) {
+  const auto make = [id, ts](std::vector<SparseVector::Entry> topics) {
+    SocialElement e;
+    e.id = id;
+    e.ts = ts;
+    e.doc = Document::FromWordIds({0});
+    e.topics = SparseVector::FromEntries(std::move(topics));
+    return e;
+  };
+  return {make({{0, std::numeric_limits<double>::quiet_NaN()}}),
+          make({{1, std::numeric_limits<double>::infinity()}, {0, 0.5}}),
+          make({{7, 1.0}})};
+}
+
+TEST(EngineTest, AdvanceToRejectsMalformedElementsBeforeTheWindowMoves) {
+  auto model = PaperTopicModel();
+  for (const std::size_t threads : {0u, 3u}) {
+    EngineConfig config = PaperEngineConfig();
+    config.maintenance_threads = threads;
+    KsirEngine engine(config, &model);
+    auto elements = PaperElements();
+    ASSERT_TRUE(engine.Append({elements[0], elements[1], elements[2]}).ok());
+    for (const SocialElement& bad : MalformedElements(100, 4)) {
+      const Timestamp now = engine.now();
+      const std::uint64_t epoch = engine.bucket_epoch();
+      const std::size_t active = engine.num_active();
+      // Bundled with a valid element: the whole bucket is refused.
+      const Status status = engine.AdvanceTo(4, {elements[3], bad});
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+          << status.ToString();
+      EXPECT_EQ(engine.now(), now);
+      EXPECT_EQ(engine.bucket_epoch(), epoch);
+      EXPECT_EQ(engine.num_active(), active);
+    }
+    // The next valid bucket ingests normally.
+    ASSERT_TRUE(engine.AdvanceTo(4, {elements[3]}).ok());
+    EXPECT_EQ(engine.now(), 4);
+    EXPECT_TRUE(engine.index().Contains(4));
+  }
+}
+
+TEST(EngineTest, QueryRejectsNonFiniteOrNegativeWeights) {
+  auto model = PaperTopicModel();
+  KsirEngine engine(PaperEngineConfig(), &model);
+  ASSERT_TRUE(engine.Append(PaperElements()).ok());
+  KsirQuery query;
+  query.k = 2;
+  query.epsilon = 0.3;
+  for (const double weight : {std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity()}) {
+    query.x = SparseVector::FromEntries({{0, 0.5}, {1, weight}});
+    for (const Algorithm algorithm :
+         {Algorithm::kMtts, Algorithm::kMttd, Algorithm::kCelf}) {
+      query.algorithm = algorithm;
+      EXPECT_EQ(engine.Query(query).status().code(),
+                StatusCode::kInvalidArgument)
+          << AlgorithmName(algorithm) << " weight=" << weight;
+    }
+  }
+  // A negative weight (only reachable by bypassing FromEntries' pruning,
+  // e.g. through FromDense with a negative threshold) is refused too.
+  query.x = SparseVector::FromDense({0.5, -0.5}, -1.0);
+  ASSERT_EQ(query.x.nnz(), 2u);
+  query.algorithm = Algorithm::kMttd;
+  EXPECT_EQ(engine.Query(query).status().code(),
+            StatusCode::kInvalidArgument);
+  query.x = BalancedQueryVector();
+  EXPECT_TRUE(engine.Query(query).ok());
 }
 
 TEST(EngineTest, MaintenanceStatsAccumulate) {

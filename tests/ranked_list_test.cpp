@@ -20,6 +20,49 @@ namespace {
 using ::ksir::testing::BalancedQueryVector;
 using ::ksir::testing::MakePaperEngineAtT8;
 
+/// A RankedList plus the caller-side state every mutation carries: each
+/// element's listed score and position handle (the roles the ScoreCache
+/// plays for the maintenance pipeline).
+class TrackedList {
+ public:
+  struct Listed {
+    double score;
+    RankedList::Handle handle;
+  };
+
+  void Insert(ElementId id, double score) {
+    listed_[id] = Listed{score, list_.Insert(id, score)};
+  }
+  void Update(ElementId id, double score) {
+    Listed& l = listed_.at(id);
+    list_.UpdateHandle({id, l.score, score, &l.handle});
+    l.score = score;
+  }
+  void Erase(ElementId id) {
+    const Listed& l = listed_.at(id);
+    list_.EraseHandle(id, l.score, l.handle);
+    listed_.erase(id);
+  }
+  /// One merge sweep over `updates` (each id at most once).
+  void ApplyBatch(const std::vector<std::pair<ElementId, double>>& updates,
+                  RankedList::BatchScratch* scratch) {
+    std::vector<RankedList::HandleUpdate> batch;
+    for (const auto& [id, score] : updates) {
+      Listed& l = listed_.at(id);
+      batch.push_back({id, l.score, score, &l.handle});
+      l.score = score;
+    }
+    list_.ApplyBatchHandles(batch.data(), batch.size(), scratch);
+  }
+
+  const RankedList& list() const { return list_; }
+  const std::map<ElementId, Listed>& listed() const { return listed_; }
+
+ private:
+  RankedList list_;
+  std::map<ElementId, Listed> listed_;
+};
+
 // ------------------------------------------------------------ RankedList --
 
 TEST(RankedListTest, InsertKeepsDescendingOrder) {
@@ -42,31 +85,31 @@ TEST(RankedListTest, TiesBreakById) {
 }
 
 TEST(RankedListTest, UpdateRepositions) {
-  RankedList list;
-  list.Insert(1, 0.3);
-  list.Insert(2, 0.9);
-  list.Update(1, 1.5);
-  EXPECT_EQ(list.begin()->id, 1);
-  EXPECT_DOUBLE_EQ(list.Get(1), 1.5);
+  TrackedList tracked;
+  tracked.Insert(1, 0.3);
+  tracked.Insert(2, 0.9);
+  tracked.Update(1, 1.5);
+  EXPECT_EQ(tracked.list().begin()->id, 1);
+  EXPECT_DOUBLE_EQ(tracked.list().Get(1), 1.5);
 }
 
 TEST(RankedListTest, EraseRemoves) {
-  RankedList list;
-  list.Insert(1, 0.3);
-  list.Insert(2, 0.9);
-  list.Erase(2);
-  EXPECT_EQ(list.size(), 1u);
-  EXPECT_FALSE(list.Contains(2));
-  EXPECT_TRUE(list.Contains(1));
+  TrackedList tracked;
+  tracked.Insert(1, 0.3);
+  tracked.Insert(2, 0.9);
+  tracked.Erase(2);
+  EXPECT_EQ(tracked.list().size(), 1u);
+  EXPECT_FALSE(tracked.list().Contains(2));
+  EXPECT_TRUE(tracked.list().Contains(1));
 }
 
 TEST(RankedListTest, EqualScoresDistinctElementsCoexist) {
-  RankedList list;
-  list.Insert(1, 0.5);
-  list.Insert(2, 0.5);
-  list.Erase(1);
-  EXPECT_TRUE(list.Contains(2));
-  EXPECT_DOUBLE_EQ(list.Get(2), 0.5);
+  TrackedList tracked;
+  tracked.Insert(1, 0.5);
+  tracked.Insert(2, 0.5);
+  tracked.Erase(1);
+  EXPECT_TRUE(tracked.list().Contains(2));
+  EXPECT_DOUBLE_EQ(tracked.list().Get(2), 0.5);
 }
 
 // ------------------------------------------------------- RankedListIndex --
@@ -85,32 +128,50 @@ TEST(RankedListIndexTest, InsertSpansTopics) {
 
 TEST(RankedListIndexTest, EraseClearsAllLists) {
   RankedListIndex index(3);
-  index.Insert(1, {{0, 0.9}, {1, 0.5}}, 5);
-  index.Erase(1);
+  RankedList::Handle handles[2];
+  index.Insert(1, {{0, 0.9}, {1, 0.5}}, 5, handles);
+  const RankedList::ErasureHint hints[] = {{0, 0.9, handles[0]},
+                                           {1, 0.5, handles[1]}};
+  index.EraseWithHints(1, hints, 2);
   EXPECT_FALSE(index.Contains(1));
   EXPECT_EQ(index.total_entries(), 0u);
   EXPECT_TRUE(index.list(0).empty());
+  EXPECT_TRUE(index.list(1).empty());
 }
 
-TEST(RankedListIndexTest, UpdateRepositionsAcrossListsAndMovesTime) {
+TEST(RankedListIndexTest, RepositionAcrossListsAndMoveTime) {
   RankedListIndex index(2);
-  index.Insert(1, {{0, 0.9}, {1, 0.1}}, 5);
+  RankedList::Handle handles[2];
+  index.Insert(1, {{0, 0.9}, {1, 0.1}}, 5, handles);
   index.Insert(2, {{0, 0.5}, {1, 0.5}}, 6);
-  index.Update(1, {{0, 0.2}, {1, 0.8}}, 7);
-  EXPECT_EQ(index.list(0).begin()->id, 2);
-  EXPECT_EQ(index.list(1).begin()->id, 1);
-  EXPECT_EQ(index.TimeOf(1), 7);
-  EXPECT_EQ(index.TimeOf(2), 6);
+  RankedList::BatchScratch scratch;
+  for (const bool merge : {false, true}) {
+    // Swing element 1 between the two lists' heads and back, through both
+    // the per-element and the merge-sweep flavor.
+    const double to0 = merge ? 0.9 : 0.2;
+    const double to1 = merge ? 0.1 : 0.8;
+    RankedList::HandleUpdate u0{1, merge ? 0.2 : 0.9, to0, &handles[0]};
+    RankedList::HandleUpdate u1{1, merge ? 0.8 : 0.1, to1, &handles[1]};
+    index.BatchRepositionHandles(0, &u0, 1, merge, &scratch);
+    index.BatchRepositionHandles(1, &u1, 1, merge, &scratch);
+    index.TouchTime(1, merge ? 8 : 7);
+    EXPECT_EQ(index.list(0).begin()->id, merge ? 1 : 2);
+    EXPECT_EQ(index.list(1).begin()->id, merge ? 2 : 1);
+    EXPECT_EQ(index.list(0).ProbeHandle(handles[0], 1, to0),
+              RankedList::HandleState::kValid);
+    EXPECT_EQ(index.list(1).ProbeHandle(handles[1], 1, to1),
+              RankedList::HandleState::kValid);
+    EXPECT_EQ(index.TimeOf(1), merge ? 8 : 7);
+    EXPECT_EQ(index.TimeOf(2), 6);
+  }
 }
 
 TEST(RankedListIndexTest, TouchTimeUpdatesWithoutListWork) {
   RankedListIndex index(2);
   index.Insert(1, {{0, 0.9}}, 5);
-  const std::uint64_t probes = index.id_table_probes();
   index.TouchTime(1, 9);
   EXPECT_EQ(index.TimeOf(1), 9);
   EXPECT_DOUBLE_EQ(index.list(0).Get(1), 0.9);
-  EXPECT_EQ(index.id_table_probes(), probes + 1);  // only the Get probed
 }
 
 // --------------------------------------------- Figure 5 golden list state --
@@ -297,7 +358,8 @@ TEST(RankedListChurnTest, MatchesOrderedReferenceAcrossSplitsAndMerges) {
   // Drive the chunked backing store through thousands of inserts, updates
   // and erases (far beyond one chunk's capacity) and require iteration to
   // match an std::set reference at every checkpoint.
-  RankedList list;
+  TrackedList tracked;
+  const RankedList& list = tracked.list();
   std::set<RankedList::Key> reference;
   std::map<ElementId, double> score_of;
   std::mt19937_64 rng(2024);
@@ -321,7 +383,7 @@ TEST(RankedListChurnTest, MatchesOrderedReferenceAcrossSplitsAndMerges) {
     if (action < 0.5 || score_of.empty()) {
       const ElementId id = next_id++;
       const double score = score_dist(rng);
-      list.Insert(id, score);
+      tracked.Insert(id, score);
       reference.insert(RankedList::Key{score, id});
       score_of[id] = score;
     } else if (action < 0.8) {
@@ -331,13 +393,13 @@ TEST(RankedListChurnTest, MatchesOrderedReferenceAcrossSplitsAndMerges) {
       const double score = score_dist(rng);
       reference.erase(RankedList::Key{it->second, it->first});
       reference.insert(RankedList::Key{score, it->first});
-      list.Update(it->first, score);
+      tracked.Update(it->first, score);
       it->second = score;
     } else {
       auto it = score_of.begin();
       std::advance(it, static_cast<std::ptrdiff_t>(
                            rng() % score_of.size()));
-      list.Erase(it->first);
+      tracked.Erase(it->first);
       reference.erase(RankedList::Key{it->second, it->first});
       score_of.erase(it);
     }
@@ -347,7 +409,7 @@ TEST(RankedListChurnTest, MatchesOrderedReferenceAcrossSplitsAndMerges) {
   // Drain to empty through the erase/merge path.
   while (!score_of.empty()) {
     const auto it = score_of.begin();
-    list.Erase(it->first);
+    tracked.Erase(it->first);
     reference.erase(RankedList::Key{it->second, it->first});
     score_of.erase(it);
   }
@@ -356,12 +418,13 @@ TEST(RankedListChurnTest, MatchesOrderedReferenceAcrossSplitsAndMerges) {
 }
 
 TEST(RankedListChurnTest, GetSurvivesRepositioning) {
-  RankedList list;
+  TrackedList tracked;
+  const RankedList& list = tracked.list();
   for (ElementId id = 0; id < 300; ++id) {
-    list.Insert(id, static_cast<double>(id % 7));
+    tracked.Insert(id, static_cast<double>(id % 7));
   }
   for (ElementId id = 0; id < 300; id += 3) {
-    list.Update(id, static_cast<double>(id % 11) + 0.5);
+    tracked.Update(id, static_cast<double>(id % 11) + 0.5);
   }
   for (ElementId id = 0; id < 300; ++id) {
     if (id % 3 == 0) {
@@ -372,33 +435,34 @@ TEST(RankedListChurnTest, GetSurvivesRepositioning) {
   }
 }
 
-// ----------------------------------------------------------- ApplyBatch --
+// ---------------------------------------------------- ApplyBatchHandles --
 
-/// Applies `updates` to `batched` via one ApplyBatch call and to `single`
-/// via per-element Update calls, then requires identical key sequences.
-void CheckBatchMatchesSingle(RankedList* batched, RankedList* single,
-                             const std::vector<RankedList::Tuple>& updates) {
+/// Applies `updates` to `batched` via one merge sweep and to `single` via
+/// per-element UpdateHandle calls, then requires identical key sequences.
+void CheckBatchMatchesSingle(
+    TrackedList* batched, TrackedList* single,
+    const std::vector<std::pair<ElementId, double>>& updates) {
   RankedList::BatchScratch scratch;
-  batched->ApplyBatch(updates.data(), updates.size(), &scratch);
-  for (const auto& update : updates) {
-    single->Update(update.id, update.score);
-  }
-  ASSERT_EQ(batched->size(), single->size());
-  auto single_it = single->begin();
-  for (const auto& key : *batched) {
+  batched->ApplyBatch(updates, &scratch);
+  for (const auto& [id, score] : updates) single->Update(id, score);
+  const RankedList& b = batched->list();
+  const RankedList& s = single->list();
+  ASSERT_EQ(b.size(), s.size());
+  auto single_it = s.begin();
+  for (const auto& key : b) {
     EXPECT_EQ(key.id, single_it->id);
     EXPECT_EQ(key.score, single_it->score);  // bitwise-identical doubles
     ++single_it;
   }
-  EXPECT_EQ(single_it, single->end());
-  for (const auto& update : updates) {
-    EXPECT_EQ(batched->Get(update.id), single->Get(update.id));
+  EXPECT_EQ(single_it, s.end());
+  for (const auto& [id, score] : updates) {
+    EXPECT_EQ(b.Get(id), s.Get(id));
   }
 }
 
 TEST(RankedListBatchTest, BatchEqualsSingleOnSmallList) {
-  RankedList batched;
-  RankedList single;
+  TrackedList batched;
+  TrackedList single;
   for (ElementId id = 0; id < 10; ++id) {
     batched.Insert(id, static_cast<double>(id));
     single.Insert(id, static_cast<double>(id));
@@ -416,8 +480,8 @@ TEST(RankedListBatchTest, BatchAcrossManyChunksMatchesReference) {
   // Enough keys for dozens of chunks; batches repeatedly reposition random
   // subsets and the result must match a per-element Update twin and an
   // std::set reference at every step.
-  RankedList batched;
-  RankedList single;
+  TrackedList batched;
+  TrackedList single;
   std::set<RankedList::Key> reference;
   std::map<ElementId, double> score_of;
   std::mt19937_64 rng(99);
@@ -434,7 +498,7 @@ TEST(RankedListBatchTest, BatchAcrossManyChunksMatchesReference) {
     // list (collisions with chunk boundaries, emptied chunks, clustered
     // and spread targets all occur across rounds).
     const std::size_t batch_size = 2 + (rng() % 400);
-    std::vector<RankedList::Tuple> updates;
+    std::vector<std::pair<ElementId, double>> updates;
     std::set<ElementId> used;
     for (std::size_t i = 0; i < batch_size; ++i) {
       const ElementId id = static_cast<ElementId>(rng() % 2000);
@@ -450,9 +514,9 @@ TEST(RankedListBatchTest, BatchAcrossManyChunksMatchesReference) {
     }
     ASSERT_NO_FATAL_FAILURE(
         CheckBatchMatchesSingle(&batched, &single, updates));
-    ASSERT_EQ(batched.size(), reference.size());
+    ASSERT_EQ(batched.list().size(), reference.size());
     auto ref_it = reference.begin();
-    for (const auto& key : batched) {
+    for (const auto& key : batched.list()) {
       ASSERT_EQ(key.id, ref_it->id);
       ASSERT_EQ(key.score, ref_it->score);
       ++ref_it;
@@ -461,9 +525,9 @@ TEST(RankedListBatchTest, BatchAcrossManyChunksMatchesReference) {
 }
 
 TEST(RankedListBatchTest, WholeListRepositionedInOneBatch) {
-  RankedList batched;
-  RankedList single;
-  std::vector<RankedList::Tuple> updates;
+  TrackedList batched;
+  TrackedList single;
+  std::vector<std::pair<ElementId, double>> updates;
   for (ElementId id = 0; id < 500; ++id) {
     batched.Insert(id, static_cast<double>(id));
     single.Insert(id, static_cast<double>(id));
@@ -474,18 +538,18 @@ TEST(RankedListBatchTest, WholeListRepositionedInOneBatch) {
 }
 
 TEST(RankedListBatchTest, NoOpScoresLeaveOrderUntouched) {
-  RankedList list;
+  TrackedList tracked;
   for (ElementId id = 0; id < 100; ++id) {
-    list.Insert(id, static_cast<double>(id));
+    tracked.Insert(id, static_cast<double>(id));
   }
-  std::vector<RankedList::Tuple> updates;
+  std::vector<std::pair<ElementId, double>> updates;
   for (ElementId id = 0; id < 100; id += 7) {
     updates.push_back({id, static_cast<double>(id)});
   }
   RankedList::BatchScratch scratch;
-  list.ApplyBatch(updates.data(), updates.size(), &scratch);
+  tracked.ApplyBatch(updates, &scratch);
   ElementId expected = 99;
-  for (const auto& key : list) {
+  for (const auto& key : tracked.list()) {
     EXPECT_EQ(key.id, expected--);
   }
 }
@@ -502,14 +566,11 @@ TEST(RankedListHandleTest, InsertMintsResolvingHandle) {
   EXPECT_EQ(list.ProbeHandle(h, 7, 0.6), RankedList::HandleState::kStale);
 }
 
-TEST(RankedListHandleTest, NoSplitFastPathPerformsZeroIdTableProbes) {
-  // The acceptance contract of the handle pipeline: a reposition whose new
-  // key stays in the handle's chunk touches the id side table ZERO times.
+TEST(RankedListHandleTest, RepositionsRefreshHandles) {
   RankedList list;
   RankedList::Handle h1 = list.Insert(1, 0.10);
   RankedList::Handle h2 = list.Insert(2, 0.20);
   RankedList::Handle h3 = list.Insert(3, 0.30);
-  const std::uint64_t probes_before = list.id_table_probes();
 
   // Single-update flavor: moves within the only chunk. Batched flavor:
   // one move plus a no-op score.
@@ -521,9 +582,6 @@ TEST(RankedListHandleTest, NoSplitFastPathPerformsZeroIdTableProbes) {
   RankedList::BatchScratch scratch;
   list.ApplyBatchHandles(updates, 2, &scratch);
 
-  // The counter is checked FIRST: Get below is id-keyed and probes.
-  EXPECT_EQ(list.id_table_probes(), probes_before);
-
   EXPECT_EQ(list.ProbeHandle(h1, 1, 0.25), RankedList::HandleState::kValid);
   EXPECT_EQ(list.ProbeHandle(h2, 2, 0.05), RankedList::HandleState::kValid);
   EXPECT_EQ(list.ProbeHandle(h3, 3, 0.30), RankedList::HandleState::kValid);
@@ -532,9 +590,10 @@ TEST(RankedListHandleTest, NoSplitFastPathPerformsZeroIdTableProbes) {
   EXPECT_EQ(list.Get(3), 0.30);
 }
 
-TEST(RankedListHandleTest, StaleHandleFallsBackThroughSideTable) {
+TEST(RankedListHandleTest, StaleHandleFallsBackToCarriedKey) {
   // Force chunk splits so early handles go stale, then reposition through
-  // them: the operation must still land exactly, only via the side table.
+  // them: the operation must still land exactly, located by the carried
+  // listed key instead.
   RankedList list;
   std::vector<RankedList::Handle> handles(300);
   std::vector<double> scores(300);
@@ -542,7 +601,6 @@ TEST(RankedListHandleTest, StaleHandleFallsBackThroughSideTable) {
     scores[id] = static_cast<double>(id) / 300.0;
     handles[id] = list.Insert(id, scores[id]);
   }
-  const std::uint64_t probes_before = list.id_table_probes();
   std::size_t stale = 0;
   for (ElementId id = 0; id < 300; ++id) {
     if (list.ProbeHandle(handles[id], id, scores[id]) ==
@@ -555,7 +613,6 @@ TEST(RankedListHandleTest, StaleHandleFallsBackThroughSideTable) {
               RankedList::HandleState::kValid);
   }
   EXPECT_GT(stale, 0u);  // splits actually invalidated some handles
-  EXPECT_GT(list.id_table_probes(), probes_before);  // fallback was taken
   for (ElementId id = 0; id < 300; ++id) {
     EXPECT_DOUBLE_EQ(list.Get(id), scores[id] + 2.0);
   }
@@ -563,8 +620,10 @@ TEST(RankedListHandleTest, StaleHandleFallsBackThroughSideTable) {
 
 TEST(RankedListHandleTest, ChurnPropertyEveryLiveHandleResolvesOrFallsBack) {
   // Random churn across every mutation flavor (insert / handle update /
-  // id update / handle erase / id erase / batched handle repositions,
-  // with splits and merges throughout). Invariants after every step:
+  // handle-less update / handle erase / handle-less erase / batched handle
+  // repositions, with splits and merges throughout). Handle-less ops pass
+  // a cleared hint, so they resolve by the carried key alone — the
+  // pipeline's carry_handles = false layer. Invariants after every step:
   //  - each live element's stored handle either resolves exactly or
   //    reports a miss AND the next operation through it lands correctly;
   //  - Get always matches the shadow model;
@@ -607,14 +666,15 @@ TEST(RankedListHandleTest, ChurnPropertyEveryLiveHandleResolvesOrFallsBack) {
       ASSERT_EQ(list.ProbeHandle(s.handle, it->first, s.score),
                 RankedList::HandleState::kValid);
     } else if (action < 0.65) {
-      // Id-keyed update: the stored handle is NOT refreshed and may go
+      // Handle-less update: the stored handle is NOT refreshed and may go
       // stale; later handle ops must fall back.
       auto it = pick(rng);
       Shadow& s = it->second;
       const double score = score_dist(rng);
       reference.erase(RankedList::Key{s.score, it->first});
       reference.insert(RankedList::Key{score, it->first});
-      list.Update(it->first, score);
+      RankedList::Handle cleared;
+      list.UpdateHandle({it->first, s.score, score, &cleared});
       s.score = score;
     } else if (action < 0.80) {
       // Batched handle repositions over a random subset.
@@ -639,7 +699,7 @@ TEST(RankedListHandleTest, ChurnPropertyEveryLiveHandleResolvesOrFallsBack) {
       shadow.erase(it);
     } else {
       auto it = pick(rng);
-      list.Erase(it->first);
+      list.EraseHandle(it->first, it->second.score, RankedList::Handle{});
       reference.erase(RankedList::Key{it->second.score, it->first});
       shadow.erase(it);
     }
@@ -663,9 +723,12 @@ TEST(RankedListHandleTest, ChurnPropertyEveryLiveHandleResolvesOrFallsBack) {
   }
 }
 
-TEST(RankedListBatchTest, HandleBatchMatchesIdBatchBitwise) {
+TEST(RankedListHandleTest, HandleLessUpdatesMatchHandleUpdatesBitwise) {
+  // The carry_handles = false layer: the same per-element repositions
+  // resolved by the carried key alone (cleared hints) must leave exactly
+  // the key sequence the handle-carrying twin holds.
   RankedList by_handle;
-  RankedList by_id;
+  RankedList by_key;
   std::vector<RankedList::Handle> handles(2000);
   std::vector<double> scores(2000);
   std::mt19937_64 rng(123);
@@ -673,77 +736,35 @@ TEST(RankedListBatchTest, HandleBatchMatchesIdBatchBitwise) {
   for (ElementId id = 0; id < 2000; ++id) {
     scores[id] = score_dist(rng);
     handles[id] = by_handle.Insert(id, scores[id]);
-    by_id.Insert(id, scores[id]);
+    by_key.Insert(id, scores[id]);
   }
-  RankedList::BatchScratch scratch_h;
-  RankedList::BatchScratch scratch_i;
   for (int round = 0; round < 30; ++round) {
-    std::vector<RankedList::HandleUpdate> handle_updates;
-    std::vector<RankedList::Tuple> tuples;
     std::set<ElementId> used;
     const std::size_t batch = 2 + rng() % 300;
     for (std::size_t i = 0; i < batch; ++i) {
       const ElementId id = static_cast<ElementId>(rng() % 2000);
       if (!used.insert(id).second) continue;
       const double score = rng() % 4 == 0 ? 0.5 : score_dist(rng);
-      handle_updates.push_back({id, scores[id], score, &handles[id]});
-      tuples.push_back({id, score});
+      by_handle.UpdateHandle({id, scores[id], score, &handles[id]});
+      RankedList::Handle cleared;
+      by_key.UpdateHandle({id, scores[id], score, &cleared});
       scores[id] = score;
     }
-    by_handle.ApplyBatchHandles(handle_updates.data(), handle_updates.size(),
-                                &scratch_h);
-    by_id.ApplyBatch(tuples.data(), tuples.size(), &scratch_i);
-    ASSERT_EQ(by_handle.size(), by_id.size());
-    auto id_it = by_id.begin();
-    for (const auto& key : by_handle) {
-      ASSERT_EQ(key.id, id_it->id);
-      ASSERT_EQ(key.score, id_it->score);  // bitwise-identical doubles
-      ++id_it;
-    }
-  }
-}
-
-TEST(RankedListHandleTest, UntrackedListNeverTouchesAnIdTable) {
-  // A handle-carrying engine's list runs with track_ids = false: every
-  // operation resolves through the carried handle or the self-locating
-  // carried key, so the probe counter stays at zero FOREVER — including
-  // across splits and merges, whose side-table rewrites are gone entirely.
-  RankedList list(/*track_ids=*/false);
-  std::vector<RankedList::Handle> handles(500);
-  std::vector<double> scores(500);
-  std::mt19937_64 rng(42);
-  std::uniform_real_distribution<double> score_dist(0.0, 1.0);
-  for (ElementId id = 0; id < 500; ++id) {
-    scores[id] = score_dist(rng);
-    handles[id] = list.Insert(id, scores[id]);
-  }
-  RankedList::BatchScratch scratch;
-  for (int round = 0; round < 20; ++round) {
-    std::vector<RankedList::HandleUpdate> updates;
-    for (ElementId id = round % 3; id < 500; id += 3) {
+    for (ElementId id = static_cast<ElementId>(round); id < 2000; id += 97) {
+      by_handle.EraseHandle(id, scores[id], handles[id]);
+      by_key.EraseHandle(id, scores[id], RankedList::Handle{});
       const double score = score_dist(rng);
-      updates.push_back({id, scores[id], score, &handles[id]});
+      handles[id] = by_handle.Insert(id, score);
+      by_key.Insert(id, score);
       scores[id] = score;
     }
-    list.ApplyBatchHandles(updates.data(), updates.size(), &scratch);
-  }
-  for (ElementId id = 0; id < 500; id += 50) {
-    list.UpdateHandle({id, scores[id], scores[id] * 0.5, &handles[id]});
-    scores[id] *= 0.5;
-  }
-  for (ElementId id = 0; id < 500; id += 7) {
-    list.EraseHandle(id, scores[id], handles[id]);
-  }
-  EXPECT_EQ(list.id_table_probes(), 0u);
-  // Diagnostic lookups still work (by scan) and see the final state.
-  EXPECT_FALSE(list.Contains(0));
-  EXPECT_TRUE(list.Contains(1));
-  EXPECT_DOUBLE_EQ(list.Get(1), scores[1]);
-  // Ordering stayed intact throughout.
-  double prev = std::numeric_limits<double>::infinity();
-  for (const auto& key : list) {
-    EXPECT_LE(key.score, prev);
-    prev = key.score;
+    ASSERT_EQ(by_handle.size(), by_key.size());
+    auto key_it = by_key.begin();
+    for (const auto& key : by_handle) {
+      ASSERT_EQ(key.id, key_it->id);
+      ASSERT_EQ(key.score, key_it->score);  // bitwise-identical doubles
+      ++key_it;
+    }
   }
 }
 
@@ -796,19 +817,17 @@ TEST(RankedListDeathTest, InsertRejectsNaNScore) {
 TEST(RankedListDeathTest, UpdateRejectsNaNScore) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   RankedList list;
-  list.Insert(1, 0.5);
-  EXPECT_DEATH(list.Update(1, nan), "isnan");
+  RankedList::Handle handle = list.Insert(1, 0.5);
+  EXPECT_DEATH(list.UpdateHandle({1, 0.5, nan, &handle}), "isnan");
 }
 
 TEST(RankedListDeathTest, ApplyBatchRejectsNaNScore) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   RankedList list;
-  list.Insert(1, 0.5);
-  RankedList::Tuple update;
-  update.id = 1;
-  update.score = nan;
+  RankedList::Handle handle = list.Insert(1, 0.5);
+  const RankedList::HandleUpdate update{1, 0.5, nan, &handle};
   RankedList::BatchScratch scratch;
-  EXPECT_DEATH(list.ApplyBatch(&update, 1, &scratch), "isnan");
+  EXPECT_DEATH(list.ApplyBatchHandles(&update, 1, &scratch), "isnan");
 }
 
 // --------------------------------------------------- Refresh mode (paper) --
@@ -819,8 +838,8 @@ TEST(RankedListIndexTest, SplitInsertMatchesCombinedInsert) {
   // topic (topic-sharded). The result — membership, t_e, entry counts,
   // list keys AND minted handles — must be exactly what the combined
   // Insert produces.
-  RankedListIndex combined(3, /*track_ids=*/false);
-  RankedListIndex split(3, /*track_ids=*/false);
+  RankedListIndex combined(3);
+  RankedListIndex split(3);
   const std::vector<std::pair<TopicId, double>> support = {
       {0, 0.9}, {2, 0.4}};
   std::vector<RankedList::Handle> combined_handles(support.size());

@@ -191,13 +191,10 @@ TEST_F(PaperScoringTest, SingletonGainEqualsElementScore) {
   }
 }
 
-TEST_F(PaperScoringTest, AllTopicScoresCoversSupport) {
-  const auto scores = ctx().AllTopicScores(e(3));
-  ASSERT_EQ(scores.size(), 2u);
-  EXPECT_EQ(scores[0].first, 0);
-  EXPECT_NEAR(scores[0].second, 0.65, 0.005);
-  EXPECT_EQ(scores[1].first, 1);
-  EXPECT_NEAR(scores[1].second, 0.03, 0.005);
+TEST_F(PaperScoringTest, TopicScoresMatchFigure5) {
+  // e3's tuples in RL_1 and RL_2 of Figure 5.
+  EXPECT_NEAR(ctx().TopicScore(0, e(3)), 0.65, 0.005);
+  EXPECT_NEAR(ctx().TopicScore(1, e(3)), 0.03, 0.005);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -457,6 +458,63 @@ TEST(ServiceTest, CreateRejectsBadConfig) {
   config.engine.max_shard_imbalance = 0.5;  // must be 0 (off) or >= 1
   EXPECT_FALSE(KsirService::Create(config, &model).ok());
   EXPECT_FALSE(KsirService::Create(PaperServiceConfig(2), nullptr).ok());
+}
+
+TEST(ServiceTest, RejectsMalformedElementsBeforeRouting) {
+  auto model = PaperTopicModel();
+  auto service = KsirService::Create(PaperServiceConfig(2), &model);
+  ASSERT_TRUE(service.ok());
+  auto elements = PaperElements();
+  ASSERT_TRUE(
+      (*service)->Append({elements[0], elements[1], elements[2]}).ok());
+  const auto make = [](std::vector<SparseVector::Entry> topics) {
+    SocialElement e;
+    e.id = 100;
+    e.ts = 4;
+    e.doc = Document::FromWordIds({0});
+    e.topics = SparseVector::FromEntries(std::move(topics));
+    return e;
+  };
+  const std::vector<SocialElement> malformed = {
+      make({{0, std::numeric_limits<double>::quiet_NaN()}}),
+      make({{1, std::numeric_limits<double>::infinity()}}),
+      make({{7, 1.0}})};
+  for (const SocialElement& bad : malformed) {
+    const Timestamp now = (*service)->now();
+    const std::uint64_t epoch = (*service)->epoch();
+    const std::size_t active = (*service)->stats().num_active_total;
+    const Status status = (*service)->AdvanceTo(4, {elements[3], bad});
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.ToString();
+    EXPECT_EQ((*service)->now(), now);
+    EXPECT_EQ((*service)->epoch(), epoch);
+    EXPECT_EQ((*service)->stats().num_active_total, active);
+    for (std::size_t i = 0; i < (*service)->num_shards(); ++i) {
+      EXPECT_EQ((*service)->shard(i).now(), now) << "shard " << i;
+    }
+  }
+  ASSERT_TRUE((*service)->AdvanceTo(4, {elements[3]}).ok());
+  EXPECT_EQ((*service)->now(), 4);
+}
+
+TEST(ServiceTest, QueryRejectsNonFiniteWeights) {
+  auto model = PaperTopicModel();
+  auto service = KsirService::Create(PaperServiceConfig(2), &model);
+  ASSERT_TRUE(service.ok());
+  ASSERT_TRUE((*service)->Append(PaperElements()).ok());
+  KsirQuery query;
+  query.k = 2;
+  query.epsilon = 0.3;
+  query.algorithm = Algorithm::kMttd;
+  for (const double weight : {std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity()}) {
+    query.x = SparseVector::FromEntries({{0, 0.5}, {1, weight}});
+    EXPECT_EQ((*service)->Query(query).status().code(),
+              StatusCode::kInvalidArgument)
+        << "weight=" << weight;
+  }
+  query.x = BalancedQueryVector();
+  EXPECT_TRUE((*service)->Query(query).ok());
 }
 
 TEST(ServiceTest, SingleShardMatchesPlainEngine) {

@@ -92,6 +92,19 @@ TEST(StreamIoTest, RejectsMalformedLines) {
   }
 }
 
+TEST(StreamIoTest, RejectsNonFiniteProbabilities) {
+  // std::from_chars parses "nan" and "inf"; neither may reach the engine.
+  for (const char* prob : {"nan", "inf", "-nan", "infinity"}) {
+    std::stringstream buffer(std::string("1\t5\t-\t-\t0:0.5\n") +
+                             "2\t6\t-\t-\t3:" + prob + "\n");
+    const auto loaded = ReadStreamTsv(&buffer);
+    ASSERT_FALSE(loaded.ok()) << prob;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kIOError) << prob;
+    EXPECT_NE(loaded.status().message().find("line 2"), std::string::npos)
+        << loaded.status().ToString();
+  }
+}
+
 TEST(StreamIoTest, SkipsBlankLines) {
   std::stringstream buffer("\n1\t5\t0:1\t-\t-\n\n");
   auto loaded = ReadStreamTsv(&buffer);

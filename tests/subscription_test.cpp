@@ -2,8 +2,8 @@
 // mutation, shared group evaluation, inverted-index activation/skipping,
 // and the differential guarantee — the indexed path's delivered views are
 // identical to the naive full re-evaluation, over random streams, on both
-// a single engine (every maintenance flavor x refresh mode) and the
-// sharded service.
+// a single engine (score sources, parallel apply and the pipeline's
+// switchable layers x refresh mode) and the sharded service.
 #include <algorithm>
 #include <cstdint>
 #include <map>
@@ -518,10 +518,12 @@ TEST_P(SubscriptionDifferentialTest, EngineFlavorsPaper) {
   base.carry_handles = true;
   RunEngineDifferential(GetParam(), base, "handle/paper");
 
+  // Merge sweeps off: every reposition is a per-element UpdateHandle.
   EngineConfig single = base;
   single.reposition_batch_min = 0;
   RunEngineDifferential(GetParam(), single, "single/paper");
 
+  // Handle reads off: every position resolves by its carried key.
   EngineConfig batched = base;
   batched.carry_handles = false;
   RunEngineDifferential(GetParam(), batched, "batched/paper");
