@@ -1,176 +1,74 @@
-// Vectorized hot-path kernels with runtime ISA dispatch.
+// Floating-point reductions of the scoring and query hot loops.
 //
-// The maintenance and query hot loops of the engine — chunk searches and
-// moves in the ranked lists, the FP reductions of scoring, the id scans of
-// expiry, the head folds of the query cursor — are routed through this
-// table of kernels. Each kernel has a portable scalar reference (always
-// built) plus optional ISA arms (AVX2 / SSE2 on x86-64, NEON on aarch64)
-// compiled into separate translation units with per-file ISA flags and
-// selected ONCE at runtime from CPU feature detection.
+// Each reduction defines ONE canonical lane order — four strided partial
+// sums, lane j accumulating elements with index ≡ j (mod 4), combined as
+// (l0 + l2) + (l1 + l3) — and every caller goes through these bodies, so
+// cosine similarities, topic norms and the query cursor's upper bounds are
+// bitwise reproducible across engine paths and builds. Inputs must be
+// NaN-free (the engine rejects NaN scores at its boundaries); ±0.0 is fine.
 //
-// Correctness contract (the repo's crown-jewel invariant):
-//   * Kernels whose result is an index, a key move, or a merge are
-//     order-preserving: every arm returns the bit-identical result by
-//     construction.
-//   * Kernels that REDUCE floating point (dense_dot, sum_squares,
-//     weighted_sum_argmax) define ONE canonical lane order — four strided
-//     partial sums, lane j accumulating elements with index ≡ j (mod 4),
-//     combined as (l0 + l2) + (l1 + l3) — and EVERY arm, the scalar
-//     reference included, implements exactly that order. All engine paths
-//     therefore stay bitwise identical to each other regardless of which
-//     arm the dispatcher picked (the 5-way engine equivalence of
-//     score_cache_test holds with SIMD on, off, or forced to scalar).
-//   * Reduction kernels require NaN-free input (the engine rejects NaN
-//     scores at its boundaries); ±0.0 is fine.
-//
-// kernel_test asserts scalar == dispatched bitwise for every kernel over
-// randomized inputs (empty, unaligned, single-lane tails), and the CI
-// forced-scalar job (KSIR_SIMD=OFF) keeps the portable arm green.
+// The sorted-list searches, shifts and merges of the ranked lists call the
+// standard algorithms directly; nothing here is ISA-specific.
 #ifndef KSIR_COMMON_KERNELS_KERNELS_H_
 #define KSIR_COMMON_KERNELS_KERNELS_H_
 
+#include <algorithm>
 #include <cstddef>
-#include <cstdint>
-#include <string>
 
 namespace ksir {
 namespace kernels {
 
-/// 16-byte ranked-list key: score descending, id ascending for determinism.
-/// This IS RankedList::Key (core aliases it), defined here so the kernels
-/// can operate on key arrays without a layering violation and without
-/// type-punning.
-struct Key16 {
-  double score;
-  std::int64_t id;
-
-  bool operator<(const Key16& other) const {
-    if (score != other.score) return score > other.score;
-    return id < other.id;
+/// sum_i term(i) for i in [0, n) in the canonical 4-lane order. The lanes
+/// live in registers, so consecutive adds do not wait on each other.
+template <typename Term>
+inline double FourLaneSum(std::size_t n, Term term) {
+  double l0 = 0.0;
+  double l1 = 0.0;
+  double l2 = 0.0;
+  double l3 = 0.0;
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    l0 += term(i);
+    l1 += term(i + 1);
+    l2 += term(i + 2);
+    l3 += term(i + 3);
   }
-  bool operator==(const Key16& other) const {
-    return score == other.score && id == other.id;
-  }
-};
-static_assert(sizeof(Key16) == 16);
-
-/// One dispatch arm: a named table of kernel entry points. Arms not worth
-/// vectorizing on a given ISA point at the scalar reference functions, so
-/// every slot is always callable.
-struct KernelTable {
-  /// "scalar", "sse2", "avx2", or "neon".
-  const char* isa;
-
-  /// Index of the first key in sorted [keys, keys+n) that is not ordered
-  /// before `key` (== std::lower_bound).
-  std::size_t (*lower_bound_keys)(const Key16* keys, std::size_t n,
-                                  Key16 key);
-  /// Index of the first key ordered after `key` (== std::upper_bound).
-  std::size_t (*upper_bound_keys)(const Key16* keys, std::size_t n,
-                                  Key16 key);
-  /// First i in [0, n) with base[i * stride] == id, else n. `stride` is in
-  /// int64 elements (2 for 16-byte records carrying the id plus one other
-  /// 8-byte field).
-  std::size_t (*find_id64)(const std::int64_t* base, std::size_t n,
-                           std::size_t stride, std::int64_t id);
-  /// Copies n keys src -> dst, iterating forward; safe for overlapping
-  /// ranges when dst <= src (std::copy semantics for left shifts).
-  void (*copy_keys)(Key16* dst, const Key16* src, std::size_t n);
-  /// Copies n keys src -> dst, iterating backward; safe for overlapping
-  /// ranges when dst >= src (std::copy_backward semantics, with dst the
-  /// FIRST destination element).
-  void (*copy_keys_backward)(Key16* dst, const Key16* src, std::size_t n);
-  /// Two-way merge of the sorted runs a and b into dst (keys unique across
-  /// both runs; dst must not overlap either input). Inherently sequential
-  /// — every arm runs the shared scalar body; the win comes from the
-  /// vectorized searches and shifts around it.
-  void (*merge_keys)(Key16* dst, const Key16* a, std::size_t na,
-                     const Key16* b, std::size_t nb);
-
-  /// sum_i a[i] * b[i] in the canonical 4-lane order.
-  double (*dense_dot)(const double* a, const double* b, std::size_t n);
-  /// sum_i v[i * stride]^2 in the canonical 4-lane order. `stride` is in
-  /// doubles (2 walks the value halves of sorted (int32, double) sparse
-  /// entries).
-  double (*sum_squares)(const double* v, std::size_t n, std::size_t stride);
-  /// Returns sum_i sum_vals[i] (canonical 4-lane order) and writes the
-  /// smallest index of the maximum of max_vals[0..n) to *argmax (n when
-  /// n == 0). The two arrays let one pass serve both the cursor's upper
-  /// bound (exhausted slots contribute +0.0) and its argmax (exhausted
-  /// slots carry a sentinel the caller thresholds against).
-  double (*weighted_sum_argmax)(const double* sum_vals,
-                                const double* max_vals, std::size_t n,
-                                std::size_t* argmax);
-  /// Stamped scatter-add over sorted (int32 index, double value) pairs laid
-  /// out like SparseVector::Entry (16-byte records, value at offset 8):
-  /// first touch of an epoch initializes values[idx], later touches
-  /// accumulate. Sequential by nature (same-slot collisions); every arm
-  /// runs the shared scalar body, so the scatter is dispatch-invariant.
-  void (*scatter_add_entries)(const void* entries, std::size_t n,
-                              double* values, std::uint64_t* stamps,
-                              std::uint64_t epoch);
-};
-
-/// The portable reference arm (always available).
-const KernelTable& ScalarTable();
-
-/// The arm selected for this process: the best ISA the CPU supports among
-/// the compiled-in arms, or ScalarTable() when forced / nothing better is
-/// available. Selection happens once; the force flag is re-read per call.
-const KernelTable& ActiveTable();
-
-/// Forces ActiveTable() to the scalar arm (test hook and KSIR_SIMD=OFF
-/// parity runs). Returns the previous value.
-bool SetForceScalar(bool force);
-
-/// True when at least one vector arm was compiled in.
-bool SimdCompiledIn();
-
-/// Space-separated CPU feature list relevant to dispatch (e.g.
-/// "sse2 sse4.2 avx avx2"), for bench provenance.
-std::string CpuFeatureString();
-
-// ---- convenience wrappers over the active arm ------------------------------
-
-inline std::size_t LowerBoundKeys(const Key16* keys, std::size_t n,
-                                  const Key16& key) {
-  return ActiveTable().lower_bound_keys(keys, n, key);
+  if (i < n) l0 += term(i);
+  if (i + 1 < n) l1 += term(i + 1);
+  if (i + 2 < n) l2 += term(i + 2);
+  return (l0 + l2) + (l1 + l3);
 }
-inline std::size_t UpperBoundKeys(const Key16* keys, std::size_t n,
-                                  const Key16& key) {
-  return ActiveTable().upper_bound_keys(keys, n, key);
-}
-inline std::size_t FindId64(const std::int64_t* base, std::size_t n,
-                            std::size_t stride, std::int64_t id) {
-  return ActiveTable().find_id64(base, n, stride, id);
-}
-inline void CopyKeys(Key16* dst, const Key16* src, std::size_t n) {
-  ActiveTable().copy_keys(dst, src, n);
-}
-inline void CopyKeysBackward(Key16* dst, const Key16* src, std::size_t n) {
-  ActiveTable().copy_keys_backward(dst, src, n);
-}
-inline void MergeKeys(Key16* dst, const Key16* a, std::size_t na,
-                      const Key16* b, std::size_t nb) {
-  ActiveTable().merge_keys(dst, a, na, b, nb);
-}
+
+/// sum_i a[i] * b[i] in the canonical 4-lane order.
 inline double DenseDot(const double* a, const double* b, std::size_t n) {
-  return ActiveTable().dense_dot(a, b, n);
+  return FourLaneSum(n, [a, b](std::size_t i) { return a[i] * b[i]; });
 }
-inline double SumSquares(const double* v, std::size_t n,
-                         std::size_t stride) {
-  return ActiveTable().sum_squares(v, n, stride);
+
+/// sum_i v[i * stride]^2 in the canonical 4-lane order. `stride` is in
+/// doubles (2 walks the value halves of sorted (int32, double) sparse
+/// entries).
+inline double SumSquares(const double* v, std::size_t n, std::size_t stride) {
+  return FourLaneSum(n, [v, stride](std::size_t i) {
+    const double x = v[i * stride];
+    return x * x;
+  });
 }
-inline double WeightedSumArgmax(const double* sum_vals,
-                                const double* max_vals, std::size_t n,
-                                std::size_t* argmax) {
-  return ActiveTable().weighted_sum_argmax(sum_vals, max_vals, n, argmax);
+
+/// Returns sum_i sum_vals[i] (canonical 4-lane order) and writes the
+/// smallest index of the maximum of max_vals[0..n) to *argmax (n when
+/// n == 0). The two arrays let one call serve both the cursor's upper
+/// bound (exhausted slots contribute +0.0) and its argmax (exhausted slots
+/// carry a sentinel the caller thresholds against).
+inline double WeightedSumArgmax(const double* sum_vals, const double* max_vals,
+                                std::size_t n, std::size_t* argmax) {
+  *argmax = static_cast<std::size_t>(std::max_element(max_vals, max_vals + n) -
+                                     max_vals);
+  return FourLaneSum(n, [sum_vals](std::size_t i) { return sum_vals[i]; });
 }
-inline void ScatterAddEntries(const void* entries, std::size_t n,
-                              double* values, std::uint64_t* stamps,
-                              std::uint64_t epoch) {
-  ActiveTable().scatter_add_entries(entries, n, values, stamps, epoch);
-}
+
+/// No-op kept for source compatibility: there is only one kernel path, so
+/// there is nothing to force. Always returns false.
+inline bool SetForceScalar(bool /*force*/) { return false; }
 
 }  // namespace kernels
 }  // namespace ksir

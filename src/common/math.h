@@ -35,8 +35,7 @@ inline double NormalizeInPlace(std::vector<double>* v) {
 }
 
 /// Cosine similarity of two equal-length dense vectors (0 when either is 0).
-/// Dot and norms run on the dispatched dense kernels (canonical lane
-/// order, bitwise identical across ISA arms).
+/// Dot and norms use the canonical 4-lane reductions of kernels.h.
 inline double CosineSimilarity(const std::vector<double>& a,
                                const std::vector<double>& b) {
   KSIR_DCHECK(a.size() == b.size());

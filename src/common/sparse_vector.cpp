@@ -80,10 +80,7 @@ void SparseVector::NormalizeL1() {
 }
 
 double SparseVector::Dot(const SparseVector& a, const SparseVector& b) {
-  // Sparse-sparse merge join: the index comparison chain is inherently
-  // sequential (each step's advance depends on the previous compare), so
-  // this stays scalar by design — the kernel layer accelerates the dense
-  // and strided reductions around it instead.
+  // Sparse-sparse merge join over the sorted indices.
   double dot = 0.0;
   auto ia = a.entries_.begin();
   auto ib = b.entries_.begin();
@@ -103,7 +100,7 @@ double SparseVector::Dot(const SparseVector& a, const SparseVector& b) {
 
 double SparseVector::Cosine(const SparseVector& a, const SparseVector& b) {
   // The norms walk the value halves of the (index, value) entries: a
-  // stride-2 strided square sum in the canonical kernel lane order.
+  // stride-2 strided square sum in the canonical 4-lane order.
   static_assert(sizeof(Entry) == 2 * sizeof(double),
                 "Entry must be a 16-byte (int32, double) record");
   const double na = a.entries_.empty()

@@ -12,8 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/kernels/kernels.h"
-
 namespace ksir {
 
 /// Thread-compatible; one accumulator per owner, sized once.
@@ -42,17 +40,15 @@ class StampedAccumulator {
     }
   }
 
-  /// Add() over a sorted (index, value) entry span (SparseVector layout),
-  /// routed through the kernel layer's dispatch-invariant scatter: the
-  /// fold of many sparse topic vectors into the dense row is the scoring
-  /// stage's per-referrer hot loop. Indices must be within the resized
-  /// range.
+  /// Add() over a sorted (index, value) entry span (SparseVector layout):
+  /// the fold of many sparse topic vectors into the dense row is the
+  /// scoring stage's per-referrer hot loop. Indices must be within the
+  /// resized range.
   void AddEntries(const std::pair<std::int32_t, double>* entries,
                   std::size_t n) {
-    static_assert(sizeof(*entries) == 16,
-                  "entry must be a 16-byte (int32, double) record");
-    kernels::ScatterAddEntries(entries, n, values_.data(), stamps_.data(),
-                               epoch_);
+    for (std::size_t i = 0; i < n; ++i) {
+      Add(static_cast<std::size_t>(entries[i].first), entries[i].second);
+    }
   }
 
   /// True when `slot` was touched since the last Begin().

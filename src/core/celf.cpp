@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/kernels/kernels.h"
 #include "common/timer.h"
 #include "core/candidate_state.h"
 
@@ -102,9 +101,9 @@ QueryResult RunGreedy(const ScoringContext& ctx, const ActiveWindow& window,
   std::sort(ids.begin(), ids.end());  // deterministic tie-breaking
 
   // Per-round gain buffer: evaluate every marginal gain into a contiguous
-  // array, then take the round winner with the vectorized argmax kernel
-  // (smallest index on ties == the sequential scan's first-max-wins).
-  // Members hold the sentinel -1.0, below the 0.0 acceptance floor.
+  // array, then take the round winner (std::max_element keeps the smallest
+  // index on ties, the sequential scan's first-max-wins). Members hold the
+  // sentinel -1.0, below the 0.0 acceptance floor.
   std::vector<double> gains(ids.size(), -1.0);
   for (std::int32_t round = 0; round < query.k && !ids.empty(); ++round) {
     for (std::size_t i = 0; i < ids.size(); ++i) {
@@ -117,9 +116,8 @@ QueryResult RunGreedy(const ScoringContext& ctx, const ActiveWindow& window,
       gains[i] = candidate.MarginalGain(*e);
       ++result.stats.num_gain_evaluations;
     }
-    std::size_t best_i = 0;
-    kernels::WeightedSumArgmax(gains.data(), gains.data(), ids.size(),
-                               &best_i);
+    const auto best_i = static_cast<std::size_t>(
+        std::max_element(gains.begin(), gains.end()) - gains.begin());
     if (!(gains[best_i] > 0.0)) break;  // no positive gain remains
     const SocialElement* best = window.Find(ids[best_i]);
     KSIR_CHECK(best != nullptr);

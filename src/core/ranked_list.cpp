@@ -10,11 +10,10 @@ namespace ksir {
 std::size_t RankedList::FindChunk(const Key& key) const {
   // First chunk whose last (greatest in comparator order, i.e. lowest-score)
   // key is not ordered before `key`; keys beyond every chunk map to the
-  // final chunk. The dispatched kernel narrows branchily, then counts the
-  // final span branchlessly — the probe keys are effectively random, so a
-  // pure binary search mispredicts half its steps.
-  const std::size_t idx =
-      kernels::LowerBoundKeys(chunk_last_.data(), chunk_last_.size(), key);
+  // final chunk.
+  const auto idx = static_cast<std::size_t>(
+      std::lower_bound(chunk_last_.begin(), chunk_last_.end(), key) -
+      chunk_last_.begin());
   return idx == chunks_.size() ? idx - 1 : idx;
 }
 
@@ -59,7 +58,8 @@ RankedList::Chunk* RankedList::Locate(ElementId id, double old_score,
   const Key key{old_score, id};
   const auto find_in = [&key, offset](const Chunk* chunk) {
     const Key* const first = chunk->keys.data();
-    const std::size_t pos = kernels::LowerBoundKeys(first, chunk->size, key);
+    const auto pos = static_cast<std::size_t>(
+        std::lower_bound(first, first + chunk->size, key) - first);
     *offset = static_cast<std::uint32_t>(pos);
     return pos < chunk->size && first[pos] == key;
   };
@@ -94,8 +94,8 @@ RankedList::Chunk* RankedList::InsertKey(const Key& key) {
     auto upper_owned = NewChunk();
     Chunk* upper = upper_owned.get();
     constexpr std::uint32_t kHalf = kChunkCapacity / 2;
-    kernels::CopyKeys(upper->keys.data(), chunk->keys.data() + kHalf,
-                      kChunkCapacity - kHalf);
+    std::copy(chunk->keys.begin() + kHalf, chunk->keys.end(),
+              upper->keys.begin());
     upper->size = kChunkCapacity - kHalf;
     chunk->size = kHalf;
     const auto offset = static_cast<std::ptrdiff_t>(idx);
@@ -109,9 +109,10 @@ RankedList::Chunk* RankedList::InsertKey(const Key& key) {
     chunk = chunks_[idx].get();
   }
   Key* const first = chunk->keys.data();
-  const std::size_t pos = kernels::LowerBoundKeys(first, chunk->size, key);
-  kernels::CopyKeysBackward(first + pos + 1, first + pos, chunk->size - pos);
-  first[pos] = key;
+  Key* const last = first + chunk->size;
+  Key* const pos = std::lower_bound(first, last, key);
+  std::copy_backward(pos, last, last + 1);
+  *pos = key;
   ++chunk->size;
   chunk_last_[idx] = chunk->keys[chunk->size - 1];
   ++size_;
@@ -122,8 +123,7 @@ void RankedList::EraseKeyAt(Chunk* chunk, std::uint32_t offset) {
   const std::size_t idx = chunk->pos;
   KSIR_DCHECK(chunks_[idx].get() == chunk);
   Key* const first = chunk->keys.data();
-  kernels::CopyKeys(first + offset, first + offset + 1,
-                    chunk->size - offset - 1);
+  std::copy(first + offset + 1, first + chunk->size, first + offset);
   --chunk->size;
   --size_;
   if (chunk->size == 0) {
@@ -143,9 +143,10 @@ void RankedList::EraseKey(const Key& key) {
   const std::size_t idx = FindChunk(key);
   Chunk* chunk = chunks_[idx].get();
   Key* const first = chunk->keys.data();
-  const std::size_t pos = kernels::LowerBoundKeys(first, chunk->size, key);
-  KSIR_CHECK(pos < chunk->size && first[pos] == key);
-  EraseKeyAt(chunk, static_cast<std::uint32_t>(pos));
+  Key* const last = first + chunk->size;
+  Key* const pos = std::lower_bound(first, last, key);
+  KSIR_CHECK(pos < last && *pos == key);
+  EraseKeyAt(chunk, static_cast<std::uint32_t>(pos - first));
 }
 
 void RankedList::MaybeMerge(std::size_t idx) {
@@ -155,7 +156,8 @@ void RankedList::MaybeMerge(std::size_t idx) {
   const auto merge_into = [this](std::size_t dst, std::size_t src) {
     Chunk* a = chunks_[dst].get();
     Chunk* b = chunks_[src].get();
-    kernels::CopyKeys(a->keys.data() + a->size, b->keys.data(), b->size);
+    std::copy(b->keys.data(), b->keys.data() + b->size,
+              a->keys.data() + a->size);
     a->size += b->size;
     chunk_last_[dst] = a->keys[a->size - 1];
     FreeChunk(b);
@@ -196,17 +198,14 @@ RankedList::Chunk* RankedList::MoveAt(Chunk* chunk, std::uint32_t offset,
   }
   Key* const first = chunk->keys.data();
   Key* const old_pos = first + offset;
-  Key* const new_pos =
-      first + kernels::LowerBoundKeys(first, chunk->size, new_key);
+  Key* const new_pos = std::lower_bound(first, first + chunk->size, new_key);
   if (new_pos == old_pos || new_pos == old_pos + 1) {
     *old_pos = new_key;  // neighbors unchanged: overwrite in place
   } else if (new_pos < old_pos) {
-    kernels::CopyKeysBackward(new_pos + 1, new_pos,
-                              static_cast<std::size_t>(old_pos - new_pos));
+    std::copy_backward(new_pos, old_pos, old_pos + 1);
     *new_pos = new_key;
   } else {
-    kernels::CopyKeys(old_pos, old_pos + 1,
-                      static_cast<std::size_t>(new_pos - old_pos) - 1);
+    std::copy(old_pos + 1, new_pos, old_pos);
     *(new_pos - 1) = new_key;
   }
   chunk_last_[idx] = chunk->keys[chunk->size - 1];
@@ -318,18 +317,18 @@ void RankedList::MergeBatch(BatchScratch* scratch) {
             ? removals[r_end - 1]
             : insertions[i_end - 1].key;
     const auto s = static_cast<std::uint32_t>(
-        kernels::LowerBoundKeys(keys, old_size, lo));
+        std::lower_bound(keys, keys + old_size, lo) - keys);
     const auto e = static_cast<std::uint32_t>(
-        kernels::UpperBoundKeys(keys, old_size, hi));
+        std::upper_bound(keys, keys + old_size, hi) - keys);
     const std::uint32_t old_span = e - s;
     const auto new_span = static_cast<std::uint32_t>(
         old_span - (r_end - ri) + (i_end - ii));
     std::array<Key, kChunkCapacity> tmp;
-    // Three steps, each a kernel: (1) copy the span aside compacting the
-    // removal run out of it, (2) shift the untouched suffix once, (3)
-    // two-way merge of the kept keys with the insertion run back into
-    // place. Handle minting needs only the destination chunk's slot/gen,
-    // so it runs after the merge, off the hot key-move path.
+    // Three steps: (1) copy the span aside compacting the removal run out
+    // of it, (2) shift the untouched suffix once, (3) two-way merge of the
+    // kept keys with the insertion run back into place. Handle minting
+    // needs only the destination chunk's slot/gen, so it runs after the
+    // merge, off the hot key-move path.
     std::uint32_t kept = 0;
     for (std::uint32_t src = s; src < e; ++src) {
       if (ri < r_end && removals[ri] == keys[src]) {
@@ -341,10 +340,10 @@ void RankedList::MergeBatch(BatchScratch* scratch) {
     KSIR_CHECK(ri == r_end);
     if (new_span != old_span) {  // shift the untouched suffix once
       if (new_span < old_span) {
-        kernels::CopyKeys(keys + s + new_span, keys + e, old_size - e);
+        std::copy(keys + e, keys + old_size, keys + s + new_span);
       } else {
-        kernels::CopyKeysBackward(keys + e + (new_span - old_span), keys + e,
-                                  old_size - e);
+        std::copy_backward(keys + e, keys + old_size,
+                           keys + old_size + (new_span - old_span));
       }
     }
     const auto ins_count = static_cast<std::uint32_t>(i_end - ii);
@@ -353,8 +352,8 @@ void RankedList::MergeBatch(BatchScratch* scratch) {
     for (std::uint32_t k = 0; k < ins_count; ++k) {
       ins_keys[k] = insertions[ii + k].key;
     }
-    kernels::MergeKeys(keys + s, tmp.data(), kept, ins_keys.data(),
-                       ins_count);
+    std::merge(tmp.data(), tmp.data() + kept, ins_keys.data(),
+               ins_keys.data() + ins_count, keys + s);
     for (; ii < i_end; ++ii) {
       *insertions[ii].handle = Handle{chunk->slot, chunk->gen};
     }
@@ -379,8 +378,8 @@ void RankedList::MergeBatch(BatchScratch* scratch) {
           chunks_[write - 1]->size + chunks_[c]->size <= kChunkCapacity) {
         Chunk* dst = chunks_[write - 1].get();
         Chunk* src = chunks_[c].get();
-        kernels::CopyKeys(dst->keys.data() + dst->size, src->keys.data(),
-                          src->size);
+        std::copy(src->keys.data(), src->keys.data() + src->size,
+                  dst->keys.data() + dst->size);
         dst->size += src->size;
         chunk_last_[write - 1] = dst->keys[dst->size - 1];
         FreeChunk(src);
@@ -417,11 +416,11 @@ void RankedList::EraseHandle(ElementId id, double score, Handle handle) {
 
 const RankedList::Key* RankedList::FindKeyOfId(ElementId id) const {
   for (const auto& chunk : chunks_) {
-    // Strided id scan over <= 64 contiguous keys (ids interleave with the
-    // scores, stride 2 in 8-byte words).
-    const std::size_t offset =
-        kernels::FindId64(&chunk->keys[0].id, chunk->size, 2, id);
-    if (offset < chunk->size) return &chunk->keys[offset];
+    const Key* const first = chunk->keys.data();
+    const Key* const last = first + chunk->size;
+    const Key* const key = std::find_if(
+        first, last, [id](const Key& k) { return k.id == id; });
+    if (key != last) return key;
   }
   return nullptr;
 }
@@ -444,7 +443,8 @@ std::size_t RankedList::DrainTop(const_iterator* pos, Key* out,
     const Chunk* chunk = chunks_[pos->chunk_].get();
     const auto avail = static_cast<std::size_t>(chunk->size - pos->offset_);
     const std::size_t take = std::min(avail, n - copied);
-    kernels::CopyKeys(out + copied, chunk->keys.data() + pos->offset_, take);
+    const Key* const from = chunk->keys.data() + pos->offset_;
+    std::copy(from, from + take, out + copied);
     copied += take;
     pos->offset_ += static_cast<std::uint32_t>(take);
     if (pos->offset_ == chunk->size) {
@@ -461,9 +461,9 @@ RankedList::HandleState RankedList::ProbeHandle(Handle handle, ElementId id,
   if (chunk == nullptr) return HandleState::kStale;
   const Key key{score, id};
   const Key* const first = chunk->keys.data();
-  const std::size_t pos = kernels::LowerBoundKeys(first, chunk->size, key);
-  return pos < chunk->size && first[pos] == key ? HandleState::kValid
-                                                : HandleState::kStale;
+  const Key* const last = first + chunk->size;
+  const Key* const pos = std::lower_bound(first, last, key);
+  return pos < last && *pos == key ? HandleState::kValid : HandleState::kStale;
 }
 
 RankedListIndex::RankedListIndex(std::size_t num_topics)

@@ -30,12 +30,10 @@
 #include <cstdint>
 #include <iterator>
 #include <memory>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/flat_hash_map.h"
-#include "common/kernels/kernels.h"
 #include "common/small_vector.h"
 #include "common/types.h"
 
@@ -44,13 +42,19 @@ namespace ksir {
 /// One topic's ranked list.
 class RankedList {
  public:
-  /// Ordering key: score descending, id ascending for determinism. Aliases
-  /// the kernel layer's 16-byte key so the directory probes, in-chunk
-  /// searches, and span moves run on the dispatched SIMD kernels without
-  /// any type-punning at the call sites.
-  using Key = kernels::Key16;
-  static_assert(std::is_same_v<decltype(Key::id), ElementId>,
-                "kernels::Key16 must carry the engine's element id type");
+  /// Ordering key: score descending, id ascending for determinism.
+  struct Key {
+    double score;
+    ElementId id;
+
+    bool operator<(const Key& other) const {
+      if (score != other.score) return score > other.score;
+      return id < other.id;
+    }
+    bool operator==(const Key& other) const {
+      return score == other.score && id == other.id;
+    }
+  };
 
   /// Opaque position hint: the stable slot id of the chunk holding the
   /// element plus that chunk's incarnation generation. A handle is a HINT,

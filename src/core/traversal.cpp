@@ -85,7 +85,7 @@ std::size_t RankedListCursor::PopWhileAtLeast(double min_value,
   if (lists_.empty()) return 0;
   std::size_t popped = 0;
   while (true) {
-    // One kernel scan finds both the upper bound and the best head.
+    // One scan finds both the upper bound and the best head.
     std::size_t argmax = 0;
     const double ub = kernels::WeightedSumArgmax(
         head_ub_.data(), head_max_.data(), lists_.size(), &argmax);

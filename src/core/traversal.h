@@ -83,8 +83,8 @@ class RankedListCursor {
   std::vector<ListPos> lists_;
   /// Contiguous shadows of the per-list head values x_i * delta_i(head),
   /// kept in lockstep with lists_ by AdvanceHead so the per-pop scans run
-  /// on the vectorized sum/argmax kernel instead of a pointer-chasing
-  /// loop over ListPos records. head_ub_ holds 0.0 for exhausted lists
+  /// one contiguous sum/argmax pass instead of a pointer-chasing loop over
+  /// ListPos records. head_ub_ holds 0.0 for exhausted lists
   /// (identity for the UB sum); head_max_ holds -1.0 (the scalar scan's
   /// "nothing selected" sentinel, below any real head value).
   std::vector<double> head_ub_;

@@ -1,12 +1,16 @@
 #include "stream/stream_io.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <string>
 #include <unordered_set>
+#include <utility>
 
 namespace ksir {
 
@@ -116,7 +120,9 @@ StatusOr<std::vector<SocialElement>> ReadStreamTsv(std::istream* in) {
     last_ts = e.ts;
 
     if (fields[2] != "-") {
-      std::vector<WordId> word_ids;
+      // The bag is built from the (word, count) pairs directly, so memory
+      // grows with the line, not with the counts. Repeated words merge.
+      std::vector<std::pair<WordId, std::int64_t>> counts;
       for (std::string_view part : Split(fields[2], ',')) {
         const std::size_t colon = part.find(':');
         WordId word = kInvalidWordId;
@@ -128,9 +134,27 @@ StatusOr<std::vector<SocialElement>> ReadStreamTsv(std::istream* in) {
           return Status::IOError("line " + std::to_string(line_no) +
                                  ": bad word:count token");
         }
-        for (std::int32_t c = 0; c < count; ++c) word_ids.push_back(word);
+        counts.emplace_back(word, count);
       }
-      e.doc = Document::FromWordIds(word_ids);
+      std::sort(counts.begin(), counts.end());
+      std::vector<Document::WordCount> word_counts;
+      std::int64_t total = 0;
+      for (std::size_t i = 0; i < counts.size(); ++i) {
+        total += counts[i].second;
+        if (i + 1 < counts.size() && counts[i + 1].first == counts[i].first) {
+          continue;
+        }
+        if (total > std::numeric_limits<std::int32_t>::max()) {
+          return Status::IOError("line " + std::to_string(line_no) +
+                                 ": count of word " +
+                                 std::to_string(counts[i].first) +
+                                 " overflows int32");
+        }
+        word_counts.emplace_back(counts[i].first,
+                                 static_cast<std::int32_t>(total));
+        total = 0;
+      }
+      e.doc = Document::FromWordCounts(std::move(word_counts));
     }
     if (fields[3] != "-") {
       for (std::string_view part : Split(fields[3], ',')) {

@@ -22,6 +22,17 @@ Document Document::FromWordIds(const std::vector<WordId>& word_ids) {
   return doc;
 }
 
+Document Document::FromWordCounts(std::vector<WordCount> word_counts) {
+  Document doc;
+  for (std::size_t i = 0; i < word_counts.size(); ++i) {
+    KSIR_DCHECK(word_counts[i].first >= 0 && word_counts[i].second > 0);
+    KSIR_DCHECK(i == 0 || word_counts[i - 1].first < word_counts[i].first);
+    doc.num_tokens_ += word_counts[i].second;
+  }
+  doc.word_counts_ = std::move(word_counts);
+  return doc;
+}
+
 Document Document::FromText(std::string_view text, const Tokenizer& tokenizer,
                             const StopWordSet& stopwords, Vocabulary* vocab) {
   KSIR_CHECK(vocab != nullptr);

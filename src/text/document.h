@@ -26,6 +26,10 @@ class Document {
   /// Builds from raw word ids (unsorted, duplicates allowed).
   static Document FromWordIds(const std::vector<WordId>& word_ids);
 
+  /// Builds from distinct (word, frequency) pairs sorted by WordId
+  /// ascending, every frequency positive.
+  static Document FromWordCounts(std::vector<WordCount> word_counts);
+
   /// Tokenizes raw text, removes stop words, interns surviving tokens into
   /// `vocab` (updating its occurrence counts) and builds the bag of words.
   static Document FromText(std::string_view text, const Tokenizer& tokenizer,

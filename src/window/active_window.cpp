@@ -1,12 +1,10 @@
 #include "window/active_window.h"
 
 #include <algorithm>
-#include <cstddef>
 #include <string>
 
 #include "common/check.h"
 #include "common/flat_hash_map.h"
-#include "common/kernels/kernels.h"
 
 namespace ksir {
 
@@ -166,17 +164,12 @@ StatusOr<ActiveWindow::UpdateResult> ActiveWindow::Advance(
     for (Entry* target_entry : leaver->ref_targets) {
       KSIR_DCHECK(target_entry->active);
       auto& referrers = target_entry->referrers;
-      // The leaver's record sits in the ts-expired prefix; the id scan over
-      // the 16-byte (id, ts) records is the dispatched strided kernel.
-      static_assert(sizeof(Referrer) == 2 * sizeof(std::int64_t) &&
-                        offsetof(Referrer, id) == 0,
-                    "Referrer must be a 16-byte record led by its id");
-      const std::size_t pos =
-          kernels::FindId64(&referrers[0].id, referrers.size(), 2, id);
-      KSIR_DCHECK(pos < referrers.size() && referrers[pos].ts <= cutoff);
-      referrers.erase(referrers.begin() + static_cast<std::ptrdiff_t>(pos),
-                      referrers.begin() +
-                          static_cast<std::ptrdiff_t>(pos + 1));
+      // The leaver's record sits in the ts-expired prefix.
+      const auto pos =
+          std::find_if(referrers.begin(), referrers.end(),
+                       [id](const Referrer& r) { return r.id == id; });
+      KSIR_DCHECK(pos != referrers.end() && pos->ts <= cutoff);
+      referrers.erase(pos);
       TouchStash(target_entry);
       target_entry->lost_stash.push_back(&leaver->element.topics);
       if (target_entry->lost_stamp != advance_epoch_) {

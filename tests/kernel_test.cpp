@@ -1,22 +1,20 @@
-// Differential property tests for the vectorized kernel layer: for every
-// kernel, the dispatched arm must return the BIT-identical result of the
-// portable scalar reference — indices and moves because they are order-
-// preserving, FP reductions because every arm implements the one canonical
-// lane order. Inputs sweep empty, single-lane tails, unaligned bases,
-// +-0.0, and the hybrid search threshold; the suite runs under ASan/UBSan
-// in CI to catch overreads in the vector load paths.
+// Contracts of the canonical reductions in kernels.h and of the stamped
+// scatter-add that folds sparse topic vectors into a dense row. The
+// reductions are pinned bitwise against a hand-written four-lane
+// reference, (l0 + l2) + (l1 + l3): every score and cursor upper bound of
+// the engine depends on that exact summation order.
 #include "common/kernels/kernels.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/kernels/kernels_detail.h"
+#include "common/stamped_accumulator.h"
 
 namespace ksir {
 namespace kernels {
@@ -30,24 +28,22 @@ bool BitEqual(double a, double b) {
   return ua == ub;
 }
 
-// The sizes that matter: empty, sub-vector, every tail shape around the
-// 4-lane groups, the in-chunk maximum, and past the hybrid binary-search
-// threshold of the directory probes.
-const std::size_t kSizes[] = {0,  1,  2,  3,  4,  5,  7,  8,  9,  15, 16,
-                              17, 31, 32, 33, 63, 64, 65, 96, 128, 257, 1024};
-
-std::vector<Key16> RandomSortedKeys(std::mt19937* rng, std::size_t n) {
-  // Coarse score grid to force plenty of score ties (id tiebreak paths).
-  std::uniform_int_distribution<int> score(0, static_cast<int>(n) / 4 + 2);
-  std::uniform_int_distribution<std::int64_t> id(0, 1 << 20);
-  std::vector<Key16> keys(n);
-  for (auto& k : keys) {
-    k.score = 0.25 * score(*rng);
-    k.id = id(*rng);
+// Lane j sums the terms with index ≡ j (mod 4); the lanes combine as
+// (l0 + l2) + (l1 + l3).
+double ReferenceSum(const std::vector<double>& terms) {
+  double l0 = 0.0;
+  double l1 = 0.0;
+  double l2 = 0.0;
+  double l3 = 0.0;
+  for (std::size_t i = 0; i < terms.size(); ++i) {
+    switch (i % 4) {
+      case 0: l0 += terms[i]; break;
+      case 1: l1 += terms[i]; break;
+      case 2: l2 += terms[i]; break;
+      default: l3 += terms[i]; break;
+    }
   }
-  std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  return keys;
+  return (l0 + l2) + (l1 + l3);
 }
 
 std::vector<double> RandomDoubles(std::mt19937* rng, std::size_t n) {
@@ -55,256 +51,133 @@ std::vector<double> RandomDoubles(std::mt19937* rng, std::size_t n) {
   std::vector<double> v(n);
   for (auto& x : v) {
     x = dist(*rng);
-    if (std::abs(x) < 0.05) x = (x < 0.0) ? -0.0 : 0.0;  // exercise +-0.0
+    if (std::abs(x) < 0.3) x = (x < 0.0) ? -0.0 : 0.0;  // exercise +-0.0
   }
   return v;
 }
 
-TEST(KernelDispatchTest, TablesAreWellFormed) {
-  const KernelTable& scalar = ScalarTable();
-  EXPECT_STREQ(scalar.isa, "scalar");
-  const KernelTable& active = ActiveTable();
-  EXPECT_NE(active.isa, nullptr);
-  if (!SimdCompiledIn()) {
-    EXPECT_STREQ(active.isa, "scalar");
-  }
-  // The force flag must reroute dispatch and restore cleanly.
-  const bool prev = SetForceScalar(true);
-  EXPECT_STREQ(ActiveTable().isa, "scalar");
-  SetForceScalar(prev);
-  EXPECT_STREQ(ActiveTable().isa, active.isa);
-  EXPECT_FALSE(CpuFeatureString().empty());
-}
-
-TEST(KernelDiffTest, LowerUpperBoundMatchScalar) {
-  std::mt19937 rng(20260809);
-  const KernelTable& scalar = ScalarTable();
-  const KernelTable& active = ActiveTable();
-  for (const std::size_t size : kSizes) {
-    for (int round = 0; round < 8; ++round) {
-      const std::vector<Key16> keys = RandomSortedKeys(&rng, size);
-      const std::size_t n = keys.size();
-      std::vector<Key16> probes;
-      // Every present key (hit), plus perturbed misses on both sides.
-      for (std::size_t i = 0; i < n; i += 1 + n / 16) {
-        probes.push_back(keys[i]);
-        probes.push_back(Key16{keys[i].score, keys[i].id + 1});
-        probes.push_back(Key16{keys[i].score, keys[i].id - 1});
-        probes.push_back(Key16{keys[i].score + 0.125, keys[i].id});
-        probes.push_back(Key16{keys[i].score - 0.125, keys[i].id});
-      }
-      probes.push_back(Key16{1e18, -5});
-      probes.push_back(Key16{-1e18, 1 << 30});
-      probes.push_back(Key16{0.0, 0});
-      probes.push_back(Key16{-0.0, 0});  // +-0.0 compare equal everywhere
-      for (const Key16& probe : probes) {
-        EXPECT_EQ(scalar.lower_bound_keys(keys.data(), n, probe),
-                  active.lower_bound_keys(keys.data(), n, probe));
-        EXPECT_EQ(scalar.upper_bound_keys(keys.data(), n, probe),
-                  active.upper_bound_keys(keys.data(), n, probe));
-      }
-    }
-  }
-}
-
-TEST(KernelDiffTest, FindId64MatchesScalarOnBothRecordFields) {
-  std::mt19937 rng(7);
-  const KernelTable& scalar = ScalarTable();
-  const KernelTable& active = ActiveTable();
-  struct Record {
-    std::int64_t first;
-    std::int64_t second;
-  };
-  for (const std::size_t n : kSizes) {
-    std::vector<Record> records(n);
-    std::uniform_int_distribution<std::int64_t> id(0, 1 << 16);
-    for (auto& r : records) {
-      r.first = id(rng);
-      r.second = id(rng);
-    }
-    std::vector<std::int64_t> targets;
-    for (std::size_t i = 0; i < n; i += 1 + n / 8) {
-      targets.push_back(records[i].first);
-      targets.push_back(records[i].second);
-    }
-    targets.push_back(-1);  // guaranteed miss
-    for (const std::int64_t t : targets) {
-      // Base at the first field (record head) and at the second field
-      // (mid-record, the Key16::id case): the vector arm must not overread
-      // past the allocation in either layout. (n == 0 passes nullptr: the
-      // kernels must not touch the base pointer on an empty scan.)
-      const auto* head = records.empty() ? nullptr : &records[0].first;
-      const auto* mid = records.empty() ? nullptr : &records[0].second;
-      EXPECT_EQ(scalar.find_id64(head, n, 2, t),
-                active.find_id64(head, n, 2, t));
-      EXPECT_EQ(scalar.find_id64(mid, n, 2, t),
-                active.find_id64(mid, n, 2, t));
-    }
-    // Odd strides take the shared scalar body; still exercise dispatch.
-    std::vector<std::int64_t> flat(n * 3, 42);
-    if (n > 1) flat[3 * (n / 2)] = -7;
-    EXPECT_EQ(scalar.find_id64(flat.data(), n, 3, -7),
-              active.find_id64(flat.data(), n, 3, -7));
-  }
-}
-
-TEST(KernelDiffTest, CopyKeysHandleOverlapLikeStdCopy) {
-  std::mt19937 rng(99);
-  const KernelTable& active = ActiveTable();
-  for (const std::size_t n : kSizes) {
-    for (const std::size_t shift : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{3}, std::size_t{7}}) {
-      const std::vector<Key16> base = RandomSortedKeys(&rng, n + shift + 4);
-      if (base.size() < n + shift) continue;
-      // Left shift: dst = data, src = data + shift (std::copy direction).
-      std::vector<Key16> expect = base;
-      std::vector<Key16> got = base;
-      std::copy(expect.begin() + static_cast<std::ptrdiff_t>(shift),
-                expect.begin() + static_cast<std::ptrdiff_t>(shift + n),
-                expect.begin());
-      active.copy_keys(got.data(), got.data() + shift, n);
-      ASSERT_EQ(0, std::memcmp(expect.data(), got.data(),
-                               expect.size() * sizeof(Key16)));
-      // Right shift: std::copy_backward direction.
-      expect = base;
-      got = base;
-      std::copy_backward(expect.begin(),
-                         expect.begin() + static_cast<std::ptrdiff_t>(n),
-                         expect.begin() + static_cast<std::ptrdiff_t>(n + shift));
-      active.copy_keys_backward(got.data() + shift, got.data(), n);
-      ASSERT_EQ(0, std::memcmp(expect.data(), got.data(),
-                               expect.size() * sizeof(Key16)));
-    }
-  }
-}
-
-TEST(KernelDiffTest, MergeKeysMatchesScalar) {
-  std::mt19937 rng(13);
-  const KernelTable& scalar = ScalarTable();
-  const KernelTable& active = ActiveTable();
-  for (const std::size_t n : kSizes) {
-    std::vector<Key16> all = RandomSortedKeys(&rng, n + 8);
-    std::vector<Key16> a;
-    std::vector<Key16> b;
-    std::bernoulli_distribution coin(0.5);
-    for (const Key16& k : all) (coin(rng) ? a : b).push_back(k);
-    std::vector<Key16> out_scalar(all.size());
-    std::vector<Key16> out_active(all.size());
-    scalar.merge_keys(out_scalar.data(), a.data(), a.size(), b.data(),
-                      b.size());
-    active.merge_keys(out_active.data(), a.data(), a.size(), b.data(),
-                      b.size());
-    ASSERT_EQ(0, std::memcmp(out_scalar.data(), out_active.data(),
-                             all.size() * sizeof(Key16)));
-    // And the merge must actually be the sorted union.
-    ASSERT_EQ(0, std::memcmp(out_scalar.data(), all.data(),
-                             all.size() * sizeof(Key16)));
-  }
-}
-
-TEST(KernelDiffTest, DenseDotBitwiseIncludingUnalignedBases) {
+TEST(KernelTest, DenseDotMatchesFourLaneReference) {
   std::mt19937 rng(2718);
-  const KernelTable& scalar = ScalarTable();
-  const KernelTable& active = ActiveTable();
-  for (const std::size_t n : kSizes) {
-    for (const std::size_t offset : {std::size_t{0}, std::size_t{1},
-                                     std::size_t{3}}) {
-      const std::vector<double> a = RandomDoubles(&rng, n + offset);
-      const std::vector<double> b = RandomDoubles(&rng, n + offset);
-      const double s = scalar.dense_dot(a.data() + offset, b.data() + offset,
-                                        n);
-      const double d = active.dense_dot(a.data() + offset, b.data() + offset,
-                                        n);
-      EXPECT_TRUE(BitEqual(s, d)) << "n=" << n << " off=" << offset
-                                  << " scalar=" << s << " dispatched=" << d;
+  for (std::size_t n = 0; n <= 9; ++n) {
+    for (int round = 0; round < 16; ++round) {
+      const std::vector<double> a = RandomDoubles(&rng, n);
+      const std::vector<double> b = RandomDoubles(&rng, n);
+      std::vector<double> products(n);
+      for (std::size_t i = 0; i < n; ++i) products[i] = a[i] * b[i];
+      const double got = DenseDot(a.data(), b.data(), n);
+      EXPECT_TRUE(BitEqual(got, ReferenceSum(products)))
+          << "n=" << n << " got=" << got;
     }
   }
 }
 
-TEST(KernelDiffTest, SumSquaresBitwiseAcrossStrides) {
+TEST(KernelTest, SumSquaresMatchesFourLaneReferenceAtStrides1And2) {
   std::mt19937 rng(31337);
-  const KernelTable& scalar = ScalarTable();
-  const KernelTable& active = ActiveTable();
-  for (const std::size_t n : kSizes) {
-    for (const std::size_t stride : {std::size_t{1}, std::size_t{2},
-                                     std::size_t{3}}) {
-      // Mid-record layout for stride 2: allocate exactly the doubles a
-      // (int32, double) entry array would hold past the value pointer.
-      const std::size_t len = n == 0 ? 0 : (n - 1) * stride + 1;
-      const std::vector<double> v = RandomDoubles(&rng, len);
-      const double s = scalar.sum_squares(v.data(), n, stride);
-      const double d = active.sum_squares(v.data(), n, stride);
-      EXPECT_TRUE(BitEqual(s, d)) << "n=" << n << " stride=" << stride;
+  for (const std::size_t stride : {std::size_t{1}, std::size_t{2}}) {
+    for (std::size_t n = 0; n <= 9; ++n) {
+      for (int round = 0; round < 16; ++round) {
+        // Exactly the doubles the strided walk may read: for stride 2 this
+        // is the value half of an (int32, double) entry array.
+        const std::size_t len = n == 0 ? 0 : (n - 1) * stride + 1;
+        const std::vector<double> v = RandomDoubles(&rng, len);
+        std::vector<double> squares(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          squares[i] = v[i * stride] * v[i * stride];
+        }
+        EXPECT_TRUE(BitEqual(SumSquares(v.data(), n, stride),
+                             ReferenceSum(squares)))
+            << "n=" << n << " stride=" << stride;
+      }
     }
   }
 }
 
-TEST(KernelDiffTest, WeightedSumArgmaxBitwiseWithTiesAndSentinels) {
+TEST(KernelTest, ReductionsKeepTheCanonicalOrderAndSignedZeros) {
+  // A sequential sum gives ((1e16 + 1) - 1e16) + 1 = 1; the four-lane
+  // order gives (1e16 - 1e16) + (1 + 1) = 2.
+  const std::vector<double> a = {1e16, 1.0, -1e16, 1.0};
+  const std::vector<double> ones(4, 1.0);
+  EXPECT_EQ(DenseDot(a.data(), ones.data(), 4), 2.0);
+
+  // Lanes start at +0.0, so all-negative-zero terms sum to +0.0.
+  const std::vector<double> neg_zero(5, -0.0);
+  EXPECT_TRUE(BitEqual(DenseDot(neg_zero.data(), ones.data(), 4), 0.0));
+  EXPECT_TRUE(BitEqual(SumSquares(neg_zero.data(), 5, 1), 0.0));
+  EXPECT_TRUE(BitEqual(DenseDot(nullptr, nullptr, 0), 0.0));
+  EXPECT_TRUE(BitEqual(SumSquares(nullptr, 0, 2), 0.0));
+}
+
+TEST(KernelTest, WeightedSumArgmaxWithTiesAndSentinels) {
+  std::size_t argmax = 777;
+  EXPECT_TRUE(BitEqual(WeightedSumArgmax(nullptr, nullptr, 0, &argmax), 0.0));
+  EXPECT_EQ(argmax, 0u);  // n when n == 0
+
+  // Equal maxima: the smallest index wins.
+  const std::vector<double> tied = {0.5, 1.75, -1.0, 1.75, 1.75};
+  WeightedSumArgmax(tied.data(), tied.data(), tied.size(), &argmax);
+  EXPECT_EQ(argmax, 1u);
+
+  // Exhausted cursor slots: sum 0.0, max at the -1.0 sentinel.
+  const std::vector<double> sentinel_max(6, -1.0);
+  const std::vector<double> zero_sum(6, 0.0);
+  EXPECT_TRUE(BitEqual(WeightedSumArgmax(zero_sum.data(), sentinel_max.data(),
+                                         6, &argmax),
+                       0.0));
+  EXPECT_EQ(argmax, 0u);
+
   std::mt19937 rng(4242);
-  const KernelTable& scalar = ScalarTable();
-  const KernelTable& active = ActiveTable();
-  for (const std::size_t n : kSizes) {
-    for (int round = 0; round < 8; ++round) {
+  for (std::size_t n = 1; n <= 9; ++n) {
+    for (int round = 0; round < 16; ++round) {
       std::vector<double> sums = RandomDoubles(&rng, n);
       std::vector<double> maxes = RandomDoubles(&rng, n);
-      // Deliberate duplicated maxima and the cursor's -1.0 sentinel.
-      std::uniform_int_distribution<std::size_t> pick(0, n + 1);
+      std::uniform_int_distribution<std::size_t> pick(0, 3);
       for (std::size_t i = 0; i < n; ++i) {
-        if (pick(rng) == 0) maxes[i] = 1.75;  // forced tie value
-        if (pick(rng) == 1) {
+        const std::size_t p = pick(rng);
+        if (p == 0) maxes[i] = 1.75;  // forced tie value
+        if (p == 1) {
           maxes[i] = -1.0;
           sums[i] = 0.0;
         }
       }
-      std::size_t arg_s = 777;
-      std::size_t arg_d = 888;
-      const double s =
-          scalar.weighted_sum_argmax(sums.data(), maxes.data(), n, &arg_s);
-      const double d =
-          active.weighted_sum_argmax(sums.data(), maxes.data(), n, &arg_d);
-      EXPECT_TRUE(BitEqual(s, d)) << "n=" << n;
-      EXPECT_EQ(arg_s, arg_d) << "n=" << n;
-      if (n == 0) {
-        EXPECT_EQ(arg_s, n);
+      std::size_t expect_arg = 0;
+      for (std::size_t i = 1; i < n; ++i) {
+        if (maxes[i] > maxes[expect_arg]) expect_arg = i;
+      }
+      const double got =
+          WeightedSumArgmax(sums.data(), maxes.data(), n, &argmax);
+      EXPECT_TRUE(BitEqual(got, ReferenceSum(sums))) << "n=" << n;
+      EXPECT_EQ(argmax, expect_arg) << "n=" << n;
+    }
+  }
+}
+
+TEST(KernelTest, AddEntriesMatchesPerEntryAdd) {
+  constexpr std::size_t kSlots = 16;
+  std::mt19937 rng(555);
+  std::uniform_int_distribution<std::int32_t> slot(0, kSlots - 1);
+  std::uniform_real_distribution<double> val(-1.0, 1.0);
+  StampedAccumulator bulk;
+  StampedAccumulator single;
+  bulk.Resize(kSlots);
+  single.Resize(kSlots);
+  for (std::size_t n = 0; n <= 40; ++n) {
+    // Earlier epochs leave stale stamps and values behind in both.
+    bulk.Begin();
+    single.Begin();
+    // Few slots, many entries: repeated slots accumulate.
+    std::vector<std::pair<std::int32_t, double>> entries(n);
+    for (auto& e : entries) e = {slot(rng), val(rng)};
+    bulk.AddEntries(entries.data(), entries.size());
+    for (const auto& [index, value] : entries) {
+      single.Add(static_cast<std::size_t>(index), value);
+    }
+    for (std::size_t s = 0; s < kSlots; ++s) {
+      ASSERT_EQ(bulk.Touched(s), single.Touched(s)) << "n=" << n;
+      if (single.Touched(s)) {
+        ASSERT_TRUE(BitEqual(bulk.Get(s), single.Get(s))) << "n=" << n;
       }
     }
   }
-}
-
-TEST(KernelDiffTest, ScatterAddEntriesMatchesScalar) {
-  std::mt19937 rng(555);
-  const KernelTable& scalar = ScalarTable();
-  const KernelTable& active = ActiveTable();
-  constexpr std::size_t kSlots = 64;
-  for (const std::size_t n : kSizes) {
-    std::vector<detail::IndexValue> entries(n);
-    std::uniform_int_distribution<std::int32_t> slot(0, kSlots - 1);
-    std::uniform_real_distribution<double> val(-1.0, 1.0);
-    for (auto& e : entries) {
-      e.index = slot(rng);
-      e.value = val(rng);
-    }
-    std::vector<double> vs(kSlots, 0.5);
-    std::vector<double> vd(kSlots, 0.5);
-    std::vector<std::uint64_t> ss(kSlots, 3);  // stale stamps
-    std::vector<std::uint64_t> sd(kSlots, 3);
-    scalar.scatter_add_entries(entries.data(), n, vs.data(), ss.data(), 9);
-    active.scatter_add_entries(entries.data(), n, vd.data(), sd.data(), 9);
-    ASSERT_EQ(0, std::memcmp(vs.data(), vd.data(), kSlots * sizeof(double)));
-    ASSERT_EQ(ss, sd);
-  }
-}
-
-// The wrappers must follow the force flag (this is what the parity bench
-// and the engine equivalence harness rely on).
-TEST(KernelDispatchTest, WrappersFollowForceScalar) {
-  std::vector<double> a(37, 1.5);
-  std::vector<double> b(37, -2.0);
-  const double dispatched = DenseDot(a.data(), b.data(), a.size());
-  const bool prev = SetForceScalar(true);
-  const double forced = DenseDot(a.data(), b.data(), a.size());
-  SetForceScalar(prev);
-  EXPECT_TRUE(BitEqual(dispatched, forced));
 }
 
 }  // namespace

@@ -105,6 +105,39 @@ TEST(StreamIoTest, RejectsNonFiniteProbabilities) {
   }
 }
 
+TEST(StreamIoTest, HugeWordCountParsesWithoutPerTokenMemory) {
+  // Expanding the count into one id per token would need 8 GB here.
+  std::stringstream buffer("1\t0\t5:2000000000\t-\t0:1\n");
+  const auto loaded = ReadStreamTsv(&buffer);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const Document& doc = (*loaded)[0].doc;
+  EXPECT_EQ(doc.num_distinct_words(), 1u);
+  EXPECT_EQ(doc.FrequencyOf(5), 2000000000);
+  EXPECT_EQ(doc.num_tokens(), 2000000000);
+}
+
+TEST(StreamIoTest, MergesRepeatedWordsAndRejectsCountOverflow) {
+  {
+    std::stringstream buffer("1\t0\t7:2,3:1,7:5\t-\t-\n");
+    const auto loaded = ReadStreamTsv(&buffer);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ((*loaded)[0].doc, Document::FromWordIds({3, 7, 7, 7, 7, 7, 7,
+                                                       7}));
+    EXPECT_EQ((*loaded)[0].doc.num_tokens(), 8);
+  }
+  {
+    // Each count fits in int32; their sum does not.
+    std::stringstream buffer(
+        "1\t0\t0:1\t-\t-\n"
+        "2\t1\t5:2000000000,9:1,5:2000000000\t-\t-\n");
+    const auto loaded = ReadStreamTsv(&buffer);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
+    EXPECT_NE(loaded.status().message().find("line 2"), std::string::npos)
+        << loaded.status().ToString();
+  }
+}
+
 TEST(StreamIoTest, SkipsBlankLines) {
   std::stringstream buffer("\n1\t5\t0:1\t-\t-\n\n");
   auto loaded = ReadStreamTsv(&buffer);

@@ -5,8 +5,7 @@ Compares the freshly produced BENCH_hotpath.json against the committed
 baseline and fails (exit 1) when a production engine's p50 bucket-update
 latency regressed by more than the threshold. Two paths are gated:
 
-  * the serial production engine ("handle"; older baselines archive
-    "batched" instead), always, and
+  * the serial production engine ("handle"), always, and
   * the parallel staged engine ("parallel"), when both documents carry it
     AND report the same available_cores — the parallel path is
     bitwise-identical to the serial one by contract, so its wall-clock is
@@ -37,24 +36,6 @@ least SUBSCRIPTION_MIN_REDUCTION (10x) fewer queries than the naive
 registered-times-rounds count, and the measured naive reference must
 equal that analytic count exactly (it is exact by construction; a
 mismatch means the naive baseline silently stopped being naive).
-
-When the fresh document carries a "kernels" section, the vectorized
-kernel layer is gated in-run: the chunk-merge composite and the dense-dot
-reduction must run at least KERNEL_MIN_SPEEDUP (1.2x) faster on the
-runtime-dispatched arm than on the forced-scalar reference measured in
-the same process. The chunk-merge bound is only enforced on the AVX2 arm
-(the SSE2 arm vectorizes the copies but not the searches, so its
-composite win is real but below the bound); dense_dot is gated on every
-non-scalar arm. On AVX2 the standalone hybrid bound search
-(lower_bound_keys) is additionally floored at 0.85x: the cutover sweep
-(see kernels_avx2.cpp) showed the vector tail trades ~0.1x on this
-synthetic random-probe row for +0.25x on the chunk_merge composite —
-the shape the list apply actually runs — so the composite's 1.2x gate
-is the binding contract for the bounds and the standalone floor exists
-only to catch a catastrophic tail regression (e.g. a cutover pushed past
-the 0.44x-at-64 cliff). A document whose active
-ISA is "scalar" (KSIR_SIMD=OFF, or a CPU with no compiled arm) skips the
-section cleanly.
 
 When the fresh document carries a "thread_sweep" section, the parallel-
 maintenance SCALING floor is evaluated: 4-thread p50 must be at least
@@ -88,29 +69,13 @@ TELEMETRY_OVERHEAD_LIMIT = 0.02
 SUBSCRIPTION_MIN_REDUCTION = 10.0
 SUBSCRIPTION_GATE_MIN_REGISTERED = 10000
 
-# Minimum in-run dispatched-vs-scalar speedup for the gated kernels.
-KERNEL_MIN_SPEEDUP = 1.2
-# chunk_merge is gated on these ISAs only (see module docstring);
-# dense_dot is gated on every non-scalar ISA.
-KERNEL_CHUNK_MERGE_ISAS = ("avx2",)
-# Floor for the STANDALONE hybrid bound search row on AVX2. This row is
-# deliberately not held to parity: the default cutover keeps the vector
-# counting tail because it wins ~0.25x on the chunk_merge composite (the
-# real list-apply shape, gated at 1.2x above) at the cost of ~0.1x on
-# this synthetic tight-loop row (cutover sweep; see kernels_avx2.cpp).
-# The floor only catches a catastrophically losing tail.
-KERNEL_BOUND_MIN_PARITY = 0.85
-KERNEL_BOUND_ISAS = ("avx2",)
-
 # Parallel-maintenance scaling floor: 4-thread p50 vs. the same run's
 # 1-thread p50, enforced only under --require-scaling on runners with at
 # least PARALLEL_SCALING_MIN_CORES available cores.
 PARALLEL_MIN_SCALING = 1.25
 PARALLEL_SCALING_MIN_CORES = 4
 
-# The serial production engine key, newest first: older baselines predate
-# the handle path and archive the batched engine instead.
-SERIAL_ENGINE_KEYS = ("handle", "batched")
+SERIAL_ENGINE_KEY = "handle"
 PARALLEL_ENGINE_KEY = "parallel"
 
 
@@ -121,10 +86,10 @@ def load(path):
 
 def serial_p50_of(doc, path):
     engines = doc.get("engines", {})
-    for key in SERIAL_ENGINE_KEYS:
-        if key in engines:
-            return key, engines[key]["bucket_update"]["p50_ms"]
-    raise KeyError(f"{path}: no known engine key in {sorted(engines)}")
+    if SERIAL_ENGINE_KEY not in engines:
+        raise KeyError(f"{path}: no '{SERIAL_ENGINE_KEY}' engine in "
+                       f"{sorted(engines)}")
+    return engines[SERIAL_ENGINE_KEY]["bucket_update"]["p50_ms"]
 
 
 def check_pair(label, base_p50, fresh_p50, threshold):
@@ -162,9 +127,9 @@ def main(argv):
               f"fresh={fresh_scale}); nothing comparable")
         return 0
 
-    base_key, base_p50 = serial_p50_of(baseline, baseline_path)
-    fresh_key, fresh_p50 = serial_p50_of(fresh, fresh_path)
-    ok = check_pair(f"serial {base_key}/{fresh_key}", base_p50, fresh_p50,
+    base_p50 = serial_p50_of(baseline, baseline_path)
+    fresh_p50 = serial_p50_of(fresh, fresh_path)
+    ok = check_pair(f"serial {SERIAL_ENGINE_KEY}", base_p50, fresh_p50,
                     threshold)
 
     base_parallel = baseline.get("engines", {}).get(PARALLEL_ENGINE_KEY)
@@ -258,47 +223,6 @@ def main(argv):
             print("NOTE [telemetry overhead]: one estimator above the "
                   "bound, the other within it — measurement drift, not "
                   "gated")
-
-    kernels = fresh.get("kernels")
-    if kernels is None:
-        print("NOTE: no kernels section in the fresh document; "
-              "kernel speedup gate skipped")
-    else:
-        isa = kernels.get("isa", "scalar")
-        results = kernels.get("results", {})
-        if isa == "scalar":
-            print("SKIP [kernels]: scalar dispatch only (KSIR_SIMD off or "
-                  "no SIMD arm for this CPU); nothing to gate")
-        else:
-            print(f"[kernels] active ISA = {isa} "
-                  f"(cpu: {fresh.get('cpu_features', '?')})")
-            gated = {"dense_dot": KERNEL_MIN_SPEEDUP}
-            if isa in KERNEL_CHUNK_MERGE_ISAS:
-                gated["chunk_merge"] = KERNEL_MIN_SPEEDUP
-            else:
-                print(f"NOTE [kernels]: chunk_merge bound not enforced on "
-                      f"the {isa} arm")
-            if isa in KERNEL_BOUND_ISAS:
-                gated["lower_bound_keys"] = KERNEL_BOUND_MIN_PARITY
-            for name, row in results.items():
-                speedup = row.get("speedup", 0.0)
-                gate = name in gated
-                print(f"[kernels] {name}: scalar {row.get('scalar_ns')} ns, "
-                      f"dispatched {row.get('dispatched_ns')} ns, "
-                      f"{speedup:.2f}x"
-                      f"{f' (gated >= {gated[name]:.2f}x)' if gate else ''}")
-            for name, floor in gated.items():
-                row = results.get(name)
-                if row is None:
-                    print(f"FAIL [kernels]: gated kernel '{name}' missing "
-                          f"from the results")
-                    ok = False
-                    continue
-                if row.get("speedup", 0.0) < floor:
-                    print(f"FAIL [kernels]: {name} dispatched arm only "
-                          f"{row.get('speedup', 0.0):.2f}x over scalar "
-                          f"(< {floor:.2f}x)")
-                    ok = False
 
     subscriptions = fresh.get("subscriptions")
     if subscriptions is None:
