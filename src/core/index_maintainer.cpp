@@ -183,6 +183,9 @@ void IndexMaintainer::EraseExpired(const ActiveWindow::Touched& t) {
   }
   index_->EraseWithHints(t.id, hint_scratch_.data(), hint_scratch_.size());
   cache_.Erase(t.id);
+  // The archived window entry outlives the pool row; a stray read of its
+  // slot must hit the query path's null check, not freed memory.
+  *t.user_slot = nullptr;
 }
 
 void IndexMaintainer::ApplySerial(const ActiveWindow::UpdateResult& update) {
@@ -435,6 +438,7 @@ void IndexMaintainer::ApplyParallel(const ActiveWindow::UpdateResult& update) {
       index_->EraseMembership(t.id, topic_id_scratch_.data(),
                               topic_id_scratch_.size());
       cache_.Erase(t.id);
+      *t.user_slot = nullptr;  // as in EraseExpired
     }
     if (!erase_topics_.empty()) {
       // Canonical topic order keeps the topic -> shard assignment (and so

@@ -8,6 +8,7 @@
 #include "common/flat_hash_map.h"
 #include "common/timer.h"
 #include "core/candidate_state.h"
+#include "core/score_cache.h"
 #include "core/traversal.h"
 
 namespace ksir {
@@ -61,17 +62,22 @@ QueryResult RunMttd(const ScoringContext& ctx, const RankedListIndex& index,
 
   if (tau <= 0.0) return finish(std::move(result));
 
+  const double lambda = ctx.params().lambda;
+  const double influence_factor = ctx.influence_factor();
   std::vector<ElementId> pulled;
+  GainTerms terms;
   while (tau >= tau_terminate && tau > 1e-12) {
     ++rounds;
     // Lines 13-19: retrieve every element whose score may reach tau — one
     // bulk cursor pull per round instead of a pop-and-recheck loop.
+    // Each singleton score delta(e, x) is read off the element's cached
+    // halves (one window probe, one short merge), not rescored.
     pulled.clear();
     cursor.PopWhileAtLeast(tau, &pulled);
     for (const ElementId id : pulled) {
-      const SocialElement* e = ctx.window().Find(id);
-      KSIR_CHECK(e != nullptr);
-      const double score = ctx.ElementScore(*e, query.x);
+      const double score = ScoreCache::SingletonScore(
+          ScoreCache::OfActive(ctx.window().FindActive(id)), query.x, lambda,
+          influence_factor);
       ++result.stats.num_evaluated;
       cached.emplace(id, score);
       heap.push(BufferEntry{score, id});
@@ -87,12 +93,14 @@ QueryResult RunMttd(const ScoringContext& ctx, const RankedListIndex& index,
       }
       if (top.cached_gain < tau) break;  // no buffered element can qualify
       heap.pop();
-      const SocialElement* e = ctx.window().Find(top.id);
-      KSIR_CHECK(e != nullptr);
-      const double gain = candidate.MarginalGain(*e);
+      const ActiveWindow::ActiveView view = ctx.window().FindActive(top.id);
+      KSIR_CHECK(view.element != nullptr);
+      // The gain check and the Add that may follow share one resolution.
+      terms.Resolve(ctx, query.x, *view.element, *view.referrers);
+      const double gain = candidate.MarginalGain(terms);
       ++result.stats.num_gain_evaluations;
       if (gain >= tau) {
-        candidate.Add(*e);
+        candidate.Add(terms);
         cached.erase(it);
         if (candidate.size() == static_cast<std::size_t>(query.k)) {
           return finish(std::move(result));

@@ -3,11 +3,11 @@
 #include <cmath>
 #include <limits>
 #include <map>
-#include <memory>
 
 #include "common/check.h"
 #include "common/timer.h"
 #include "core/candidate_state.h"
+#include "core/score_cache.h"
 #include "core/traversal.h"
 
 namespace ksir {
@@ -16,6 +16,12 @@ namespace {
 
 // phi = (1 + eps)^j.
 double PhiOf(int j, double eps) { return std::pow(1.0 + eps, j); }
+
+// One candidate S_phi with its add threshold phi/2k, fixed at creation.
+struct Candidate {
+  double add_threshold;
+  CandidateState state;
+};
 
 }  // namespace
 
@@ -29,22 +35,25 @@ QueryResult RunMtts(const ScoringContext& ctx, const RankedListIndex& index,
   const double eps = query.epsilon;
   const double k = static_cast<double>(query.k);
   const double log1e = std::log1p(eps);
+  const double lambda = ctx.params().lambda;
+  const double influence_factor = ctx.influence_factor();
 
   RankedListCursor cursor(&index, &query.x);
   // Candidates S_phi keyed by the exponent j of phi = (1+eps)^j.
-  std::map<int, std::unique_ptr<CandidateState>> candidates;
+  std::map<int, Candidate> candidates;
   double delta_max = 0.0;
   double threshold = 0.0;  // TH: min phi/2k over unfilled candidates
+  GainTerms terms;
 
   std::size_t peak_candidates = 0;
   while (!cursor.Exhausted() && cursor.UpperBound() >= threshold) {
     const auto popped = cursor.PopNext();
     if (!popped.has_value()) break;
-    const SocialElement* e = ctx.window().Find(*popped);
-    KSIR_CHECK(e != nullptr);
+    const ActiveWindow::ActiveView view = ctx.window().FindActive(*popped);
 
-    // Line 6: evaluate delta(e, x).
-    const double score = ctx.ElementScore(*e, query.x);
+    // Line 6: evaluate delta(e, x) from the element's cached halves.
+    const double score = ScoreCache::SingletonScore(
+        ScoreCache::OfActive(view), query.x, lambda, influence_factor);
     ++result.stats.num_evaluated;
 
     // Lines 7-9: track delta_max and adjust the candidate range
@@ -64,28 +73,37 @@ QueryResult RunMtts(const ScoringContext& ctx, const RankedListIndex& index,
       for (int j = j_lo; j <= j_hi; ++j) {
         if (!candidates.contains(j)) {
           candidates.emplace(
-              j, std::make_unique<CandidateState>(&ctx, &query.x));
+              j, Candidate{PhiOf(j, eps) / (2.0 * k),
+                           CandidateState(&ctx, &query.x)});
         }
       }
       peak_candidates = std::max(peak_candidates, candidates.size());
     }
 
-    // Lines 10-12: each candidate decides independently.
+    // Lines 10-12: each candidate decides independently. The element's
+    // gain terms are resolved once, on the first candidate that needs
+    // them, and shared by every gain check and addition.
+    bool resolved = false;
     for (auto& [j, candidate] : candidates) {
-      const double add_threshold = PhiOf(j, eps) / (2.0 * k);
-      if (candidate->size() >= static_cast<std::size_t>(query.k)) continue;
-      if (score < add_threshold) continue;
+      if (candidate.state.size() >= static_cast<std::size_t>(query.k)) {
+        continue;
+      }
+      if (score < candidate.add_threshold) continue;
+      if (!resolved) {
+        terms.Resolve(ctx, query.x, *view.element, *view.referrers);
+        resolved = true;
+      }
       ++result.stats.num_gain_evaluations;
-      if (candidate->MarginalGain(*e) >= add_threshold) {
-        candidate->Add(*e);
+      if (candidate.state.MarginalGain(terms) >= candidate.add_threshold) {
+        candidate.state.Add(terms);
       }
     }
 
     // Line 14: recompute TH.
     threshold = std::numeric_limits<double>::infinity();
     for (const auto& [j, candidate] : candidates) {
-      if (candidate->size() < static_cast<std::size_t>(query.k)) {
-        threshold = PhiOf(j, eps) / (2.0 * k);
+      if (candidate.state.size() < static_cast<std::size_t>(query.k)) {
+        threshold = candidate.add_threshold;
         break;  // candidates are ordered by j, so the first unfilled is min
       }
     }
@@ -95,8 +113,8 @@ QueryResult RunMtts(const ScoringContext& ctx, const RankedListIndex& index,
   // Line 15: return the best candidate.
   const CandidateState* best = nullptr;
   for (const auto& [j, candidate] : candidates) {
-    if (best == nullptr || candidate->score() > best->score()) {
-      best = candidate.get();
+    if (best == nullptr || candidate.state.score() > best->score()) {
+      best = &candidate.state;
     }
   }
   if (best != nullptr) {

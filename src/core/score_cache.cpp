@@ -71,6 +71,40 @@ void ScoreCache::Erase(ElementId id) {
   entries_.erase(it);
 }
 
+const ScoreCache::TopicList& ScoreCache::OfActive(
+    const ActiveWindow::ActiveView& view) {
+  KSIR_CHECK(view.element != nullptr);
+  KSIR_CHECK(view.user_slot != nullptr);
+  return *FromSlot(view.user_slot);
+}
+
+double ScoreCache::SingletonScore(const TopicList& topics,
+                                  const SparseVector& x, double lambda,
+                                  double influence_factor) {
+  // Same merge and the same per-topic composition as ElementScore: rows
+  // follow the element's (sorted) topic support.
+  double score = 0.0;
+  const auto& qs = x.entries();
+  std::size_t qi = 0;
+  std::size_t ti = 0;
+  while (qi < qs.size() && ti < topics.size()) {
+    const TopicHalves& half = topics[ti];
+    if (qs[qi].first < half.topic) {
+      ++qi;
+    } else if (half.topic < qs[qi].first) {
+      ++ti;
+    } else {
+      if (half.topic_prob > 0.0) {
+        score += qs[qi].second * (lambda * half.semantic +
+                                  influence_factor * half.influence);
+      }
+      ++qi;
+      ++ti;
+    }
+  }
+  return score;
+}
+
 const ScoreCache::TopicList* ScoreCache::Find(ElementId id) const {
   const auto it = entries_.find(id);
   return it == entries_.end() ? nullptr : it->second;

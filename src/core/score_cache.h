@@ -68,6 +68,23 @@ class ScoreCache {
   static TopicList* FromSlot(void* slot) {
     return static_cast<TopicList*>(slot);
   }
+  static const TopicList* FromSlot(const void* slot) {
+    return static_cast<const TopicList*>(slot);
+  }
+
+  /// The entry parked in an active element's window slot (the query
+  /// path's one-probe route to the halves). CHECKs that the element is
+  /// active and that its slot holds an entry.
+  static const TopicList& OfActive(const ActiveWindow::ActiveView& view);
+
+  /// delta(e, x) = sum_i x_i * (lambda * R_i(e) + influence_factor *
+  /// I_{i,t}(e)) from an entry's halves: one sorted merge of the query's
+  /// support against the entry's rows, no word scan and no window probe.
+  /// Reads the exact halves, never `listed` (under RefreshMode::kPaper the
+  /// listed key may be stale-high). Equals ScoringContext::ElementScore up
+  /// to the rounding of the incrementally folded influence half.
+  static double SingletonScore(const TopicList& topics, const SparseVector& x,
+                               double lambda, double influence_factor);
 
   /// `ctx` must outlive the cache.
   explicit ScoreCache(const ScoringContext* ctx);

@@ -286,6 +286,13 @@ const SocialElement* ActiveWindow::Find(ElementId id) const {
   return &it->second->element;
 }
 
+ActiveWindow::ActiveView ActiveWindow::FindActive(ElementId id) const {
+  const auto it = entries_.find(id);
+  if (it == entries_.end() || !it->second->active) return {};
+  const Entry& entry = *it->second;
+  return ActiveView{&entry.element, &entry.referrers, entry.user_data};
+}
+
 bool ActiveWindow::IsActive(ElementId id) const {
   const auto it = entries_.find(id);
   return it != entries_.end() && it->second->active;

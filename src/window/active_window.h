@@ -100,8 +100,8 @@ class ActiveWindow {
     /// (the entries stay alive through this call). The slot target is
     /// consumer-owned and the consumer may free it while handling the
     /// expiry — the maintainer's topic-sharded erase copies its hints out
-    /// of the slot's record BEFORE releasing it, and nothing may read the
-    /// slot after the consumer's own release.
+    /// of the slot's record BEFORE releasing it, then nulls the slot (the
+    /// archived entry keeps it until a resurrection re-seeds it).
     std::vector<Touched> expired;
     /// References whose target was neither active nor archived.
     std::int64_t dangling_refs = 0;
@@ -125,8 +125,21 @@ class ActiveWindow {
   StatusOr<UpdateResult> Advance(Timestamp now,
                                  std::vector<SocialElement> bucket);
 
+  /// Everything the query path reads about one active element, resolved by
+  /// a single probe: the stored element, its referrer set I_t(e) and the
+  /// consumer slot (the maintainer's score-cache record). All three are
+  /// null when the id is inactive or unknown.
+  struct ActiveView {
+    const SocialElement* element = nullptr;
+    const ReferrerList* referrers = nullptr;
+    const void* user_slot = nullptr;
+  };
+
   /// Active-element lookup; nullptr when the id is inactive or unknown.
   const SocialElement* Find(ElementId id) const;
+
+  /// One-probe Find + ReferrersOf + the consumer slot.
+  ActiveView FindActive(ElementId id) const;
 
   /// True when the element belongs to A_t.
   bool IsActive(ElementId id) const;

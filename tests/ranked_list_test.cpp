@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "core/ranked_list.h"
+#include "core/score_cache.h"
 #include "core/traversal.h"
 #include "paper_fixture.h"
 
@@ -289,16 +290,23 @@ TEST_F(Figure5Test, CursorUpperBoundMonotoneNonIncreasing) {
 }
 
 TEST_F(Figure5Test, CursorUpperBoundDominatesUnpopped) {
-  // Soundness: UB(x) >= delta(e, x) for every not-yet-popped element.
+  // Soundness: UB(x) >= delta(e, x) for every not-yet-popped element, both
+  // rescored and as MTTS/MTTD read it (off the cached score halves).
   const SparseVector x = BalancedQueryVector();
+  const ScoringContext& ctx = fixture_.engine->scoring();
   RankedListCursor cursor(&fixture_.engine->index(), &x);
   std::vector<ElementId> remaining = {1, 2, 3, 5, 6, 7, 8};
   while (!remaining.empty()) {
     const double ub = cursor.UpperBound();
     for (ElementId id : remaining) {
-      const SocialElement* e = fixture_.engine->window().Find(id);
-      ASSERT_NE(e, nullptr);
-      EXPECT_GE(ub + 1e-12, fixture_.engine->scoring().ElementScore(*e, x));
+      const ActiveWindow::ActiveView view =
+          fixture_.engine->window().FindActive(id);
+      ASSERT_NE(view.element, nullptr);
+      EXPECT_GE(ub + 1e-12, ctx.ElementScore(*view.element, x));
+      EXPECT_GE(ub + 1e-12,
+                ScoreCache::SingletonScore(ScoreCache::OfActive(view), x,
+                                           ctx.params().lambda,
+                                           ctx.influence_factor()));
     }
     const auto popped = cursor.PopNext();
     ASSERT_TRUE(popped.has_value());

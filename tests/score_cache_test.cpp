@@ -8,7 +8,10 @@
 // resurrection, under both RefreshModes. Because both sources share list
 // maintenance, a naive-rebuild oracle checks the lists themselves against
 // the window. Under RefreshMode::kPaper the listed scores may only ever be
-// stale-HIGH (sound upper bounds), never stale-low.
+// stale-HIGH (sound upper bounds), never stale-low. The query path's
+// singleton delta(e, x), read off the cached halves, must match the
+// from-scratch ElementScore in every mode, and expiry must clear the
+// window slot that carries the cache entry.
 #include <algorithm>
 #include <cstdint>
 #include <memory>
@@ -19,6 +22,9 @@
 
 #include "common/rng.h"
 #include "core/engine.h"
+#include "core/index_maintainer.h"
+#include "core/mttd.h"
+#include "core/score_cache.h"
 #include "runtime/worker_pool.h"
 #include "stream/element.h"
 #include "stream_gen.h"
@@ -375,6 +381,174 @@ TEST(ScoreCachePaperModeTest, NextGainRepositionsToExactScore) {
   ASSERT_NE(e1, nullptr);
   EXPECT_NEAR(engine.index().list(0).Get(1),
               engine.scoring().TopicScore(0, *e1), 1e-12);
+}
+
+// ------------------------------------------- query-path singleton ----
+
+/// delta(e, x) as MTTS and MTTD read it: off the element's cached halves.
+double CachedSingleton(const KsirEngine& engine, ElementId id,
+                       const SparseVector& x) {
+  const ScoringContext& ctx = engine.scoring();
+  return ScoreCache::SingletonScore(
+      ScoreCache::OfActive(engine.window().FindActive(id)), x,
+      ctx.params().lambda, ctx.influence_factor());
+}
+
+/// delta(e, x) composed from the listed keys (stale-high under kPaper).
+double ListedSingleton(const KsirEngine& engine, ElementId id,
+                       const SparseVector& x) {
+  double score = 0.0;
+  for (const auto& [topic, weight] : x.entries()) {
+    const RankedList& list = engine.index().list(topic);
+    if (list.Contains(id)) score += weight * list.Get(id);
+  }
+  return score;
+}
+
+/// Random stream with expiry and resurrection; after every bucket, every
+/// active element's cached singleton must equal ElementScore for every
+/// query. Under kPaper it must follow the exact halves even where the
+/// listed key went stale-high after a referrer loss.
+void RunSingletonDifferential(std::uint64_t seed, RefreshMode mode,
+                              std::size_t threads) {
+  testing::StreamGen gen(seed);
+  TopicModel model = gen.MakeModel();
+  EngineConfig config;
+  config.scoring.lambda = 0.4;
+  config.scoring.eta = 2.0;
+  config.window_length = 6;
+  config.bucket_length = 2;
+  config.archive_retention = 10;  // > T: keeps targets resurrectable
+  config.refresh_mode = mode;
+  config.maintenance_threads = threads;
+  KsirEngine engine(config, &model);
+  std::vector<SparseVector> queries;
+  for (int q = 0; q < 4; ++q) queries.push_back(gen.RandomQueryVector());
+
+  std::vector<ElementId> seen;
+  std::set<ElementId> archived;
+  bool saw_resurrection = false;
+  bool saw_stale = false;
+  for (Timestamp bucket_end = 2; bucket_end <= 60; bucket_end += 2) {
+    std::vector<SocialElement> bucket = gen.NextBucket(bucket_end);
+    for (const SocialElement& e : bucket) seen.push_back(e.id);
+    ASSERT_TRUE(engine.AdvanceTo(bucket_end, std::move(bucket)).ok());
+    const ActiveWindow& window = engine.window();
+    for (const ElementId id : seen) {
+      if (window.IsActive(id) && archived.erase(id) > 0) {
+        saw_resurrection = true;
+      }
+      if (window.IsArchived(id)) archived.insert(id);
+    }
+    for (const ElementId id : window.ActiveIds()) {
+      const SocialElement* e = window.Find(id);
+      for (const SparseVector& x : queries) {
+        const double singleton = CachedSingleton(engine, id, x);
+        const double exact = engine.scoring().ElementScore(*e, x);
+        ASSERT_NEAR(singleton, exact, kTol)
+            << "t=" << bucket_end << " e=" << id;
+        if (mode != RefreshMode::kPaper) continue;
+        const double listed = ListedSingleton(engine, id, x);
+        EXPECT_GE(listed, exact - kTol) << "t=" << bucket_end << " e=" << id;
+        if (listed > exact + kTol) {
+          saw_stale = true;
+          EXPECT_LT(singleton, listed - kTol)
+              << "singleton read the stale listed key at t=" << bucket_end
+              << " e=" << id;
+        }
+      }
+    }
+  }
+  // The stream is long enough for both events; otherwise the checks above
+  // would pass vacuously.
+  EXPECT_TRUE(saw_resurrection);
+  if (mode == RefreshMode::kPaper) EXPECT_TRUE(saw_stale);
+}
+
+class SingletonDifferentialTest
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SingletonDifferentialTest, ExactModeSerial) {
+  RunSingletonDifferential(GetParam(), RefreshMode::kExact, 1);
+}
+
+TEST_P(SingletonDifferentialTest, ExactModeParallel) {
+  RunSingletonDifferential(GetParam(), RefreshMode::kExact, 4);
+}
+
+TEST_P(SingletonDifferentialTest, PaperModeSerial) {
+  RunSingletonDifferential(GetParam(), RefreshMode::kPaper, 1);
+}
+
+TEST_P(SingletonDifferentialTest, PaperModeParallel) {
+  RunSingletonDifferential(GetParam(), RefreshMode::kPaper, 4);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SingletonDifferentialTest,
+                         ::testing::Range<std::uint64_t>(1, 5));
+
+TEST(ScoreCacheSlotTest, ExpiryClearsSlotAndResurrectionReseedsIt) {
+  // The archived window entry outlives its cache entry: expiry must null
+  // the slot, and a resurrection must park the fresh entry there — the
+  // one MTTD then reads. Serial and staged parallel apply alike.
+  auto model = TopicModel::FromMatrix({{0.5, 0.5}});
+  ASSERT_TRUE(model.ok());
+  auto mk = [](ElementId id, Timestamp ts, std::vector<ElementId> refs) {
+    SocialElement e;
+    e.id = id;
+    e.ts = ts;
+    e.doc = Document::FromWordIds({0});
+    e.refs = std::move(refs);
+    e.topics = SparseVector::FromEntries({{0, 1.0}});
+    return e;
+  };
+  const SparseVector x = SparseVector::FromEntries({{0, 1.0}});
+  for (const std::size_t workers : {0u, 2u}) {
+    ActiveWindow window(/*window_length=*/4, /*archive_retention=*/10);
+    ScoringContext ctx(&*model, &window, ScoringParams{0.5, 2.0});
+    RankedListIndex index(1);
+    auto pool = workers > 0 ? MakeWorkerPool(1, 1, nullptr) : nullptr;
+    IndexMaintainer maintainer(&ctx, &index, RefreshMode::kExact,
+                               ScoreMaintenance::kIncremental,
+                               kDefaultRepositionBatchMin,
+                               /*carry_handles=*/true, pool.get(), workers);
+    auto advance = [&](Timestamp now, std::vector<SocialElement> bucket) {
+      auto update = window.Advance(now, std::move(bucket));
+      KSIR_CHECK(update.ok());
+      maintainer.Apply(*update);
+      return std::move(update).value();
+    };
+
+    advance(1, {mk(1, 1, {})});
+    // t=6: e1 (ts=1) leaves W_6 = [3, 6] unreferenced and is archived.
+    const ActiveWindow::UpdateResult expiry = advance(6, {});
+    ASSERT_EQ(expiry.expired.size(), 1u) << "workers=" << workers;
+    EXPECT_EQ(*expiry.expired[0].user_slot, nullptr) << "workers=" << workers;
+    EXPECT_TRUE(window.IsArchived(1));
+
+    // t=7: e2 refers to e1, pulling it back into A_t.
+    const ActiveWindow::UpdateResult revival = advance(7, {mk(2, 7, {1})});
+    ASSERT_EQ(revival.resurrected.size(), 1u) << "workers=" << workers;
+    const ActiveWindow::ActiveView view = window.FindActive(1);
+    ASSERT_NE(view.user_slot, nullptr) << "workers=" << workers;
+    EXPECT_EQ(view.user_slot, *revival.resurrected[0].user_slot);
+    const double exact = ctx.ElementScore(*view.element, x);
+    EXPECT_NEAR(ScoreCache::SingletonScore(ScoreCache::OfActive(view), x,
+                                           ctx.params().lambda,
+                                           ctx.influence_factor()),
+                exact, kTol);
+
+    // e1 now carries e2's influence on top of the same words, so it is
+    // the k = 1 answer, at its fresh (resurrected) score.
+    KsirQuery query;
+    query.k = 1;
+    query.epsilon = 0.2;
+    query.x = x;
+    const QueryResult result = RunMttd(ctx, index, query);
+    EXPECT_EQ(result.element_ids, std::vector<ElementId>{1})
+        << "workers=" << workers;
+    EXPECT_NEAR(result.score, exact, kTol) << "workers=" << workers;
+  }
 }
 
 }  // namespace
