@@ -243,10 +243,11 @@ int main(int argc, char** argv) {
     const MetricSnapshot* m = snapshot.Find(name);
     return m != nullptr ? m->histogram.sum * 1e3 : 0.0;
   };
-  std::printf("Maintenance stages: expiry %.1f ms, score %.1f ms, gather "
-              "%.1f ms, list-apply %.1f ms (bucket-apply total %.1f ms "
-              "across shards).\n",
+  std::printf("Maintenance stages: expiry %.1f ms, insert %.1f ms, score "
+              "%.1f ms, gather %.1f ms, list-apply %.1f ms (bucket-apply "
+              "total %.1f ms across shards).\n",
               hist_sum_ms("ksir_maintainer_stage_expiry_seconds"),
+              hist_sum_ms("ksir_maintainer_stage_insert_seconds"),
               hist_sum_ms("ksir_maintainer_stage_score_seconds"),
               hist_sum_ms("ksir_maintainer_stage_gather_seconds"),
               hist_sum_ms("ksir_maintainer_stage_list_apply_seconds"),

@@ -4,13 +4,21 @@
 // probe; the maintenance loop of Algorithm 1 does several map operations per
 // stream edge, so those misses dominate. FlatHashMap stores entries inline in
 // a single power-of-two array with linear probing (splitmix64-mixed integer
-// keys give well-spread probe starts), tombstone deletion and load-factor-
-// bounded rehash, so a lookup is one hash plus a short contiguous scan.
+// keys give well-spread probe starts) and load-factor-bounded growth, so a
+// lookup is one hash plus a short contiguous scan.
+//
+// Erase uses backward-shift deletion (Knuth, TAOCP vol. 3, 6.4 Algorithm R):
+// the freed slot is refilled from later in its probe run, so erase leaves no
+// deleted-slot marker behind. A sliding window that inserts and erases at
+// the same rate therefore keeps its capacity and short probe runs, and
+// never rehashes.
 //
 // Contract differences from std::unordered_map (acceptable to all call
 // sites in this repository):
-//   * iterators and references are invalidated by rehash (insertions);
-//   * iteration order is unspecified and changes across rehashes;
+//   * iterators and references to *any* entry are invalidated by insertion
+//     (rehash) and by erase (erase moves other entries of the run);
+//   * do not erase while iterating; collect the keys first;
+//   * iteration order is unspecified and changes across rehashes and erases;
 //   * value_type is std::pair<Key, Value> (non-const Key; do not mutate the
 //     key through an iterator).
 #ifndef KSIR_COMMON_FLAT_HASH_MAP_H_
@@ -52,7 +60,7 @@ struct FlatHash {
 
 template <typename Key, typename Value, typename Hash = FlatHash>
 class FlatHashMap {
-  enum class Ctrl : std::uint8_t { kEmpty = 0, kFull = 1, kTombstone = 2 };
+  enum class Ctrl : std::uint8_t { kEmpty = 0, kFull = 1 };
 
  public:
   using value_type = std::pair<Key, Value>;
@@ -134,6 +142,8 @@ class FlatHashMap {
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
+  /// Slot count (0 before the first insert); read by tests.
+  std::size_t capacity() const { return capacity_; }
 
   iterator begin() { return iterator(this, 0); }
   iterator end() { return iterator(this, capacity_); }
@@ -146,7 +156,6 @@ class FlatHashMap {
       ctrl_[i] = Ctrl::kEmpty;
     }
     size_ = 0;
-    tombstones_ = 0;
   }
 
   /// Ensures capacity for `n` entries without rehash.
@@ -173,25 +182,16 @@ class FlatHashMap {
     const std::size_t found = FindIndex(key);
     if (found != kNotFound) return {IteratorAt(found), false};
     GrowIfNeeded();
-    const auto [idx, inserted] = FindOrPrepareInsert(key);
-    if (inserted) {
-      new (&slots_[idx]) value_type(
-          std::piecewise_construct, std::forward_as_tuple(key),
-          std::forward_as_tuple(std::forward<Args>(args)...));
-    }
-    return {IteratorAt(idx), inserted};
+    const std::size_t idx = ClaimEmptySlot(key);
+    new (&slots_[idx]) value_type(
+        std::piecewise_construct, std::forward_as_tuple(key),
+        std::forward_as_tuple(std::forward<Args>(args)...));
+    return {IteratorAt(idx), true};
   }
 
   template <typename V>
   std::pair<iterator, bool> emplace(const Key& key, V&& value) {
-    const std::size_t found = FindIndex(key);
-    if (found != kNotFound) return {IteratorAt(found), false};
-    GrowIfNeeded();
-    const auto [idx, inserted] = FindOrPrepareInsert(key);
-    if (inserted) {
-      new (&slots_[idx]) value_type(key, std::forward<V>(value));
-    }
-    return {IteratorAt(idx), inserted};
+    return try_emplace(key, std::forward<V>(value));
   }
 
   Value& operator[](const Key& key) { return try_emplace(key).first->second; }
@@ -236,57 +236,51 @@ class FlatHashMap {
     if (capacity_ == 0) return kNotFound;
     const std::size_t mask = capacity_ - 1;
     std::size_t idx = hash_(key) & mask;
-    while (true) {
-      const Ctrl c = ctrl_[idx];
-      if (c == Ctrl::kEmpty) return kNotFound;
-      if (c == Ctrl::kFull && slots_[idx].first == key) return idx;
+    while (ctrl_[idx] == Ctrl::kFull) {
+      if (slots_[idx].first == key) return idx;
       idx = (idx + 1) & mask;
     }
+    return kNotFound;
   }
 
-  /// Finds `key` or claims a slot for it (reusing the first tombstone on the
-  /// probe path). Requires capacity_ > 0 with a free slot available.
-  std::pair<std::size_t, bool> FindOrPrepareInsert(const Key& key) {
+  /// Claims the empty slot ending the probe run of an absent `key`.
+  /// Requires capacity_ > 0 with a free slot available.
+  std::size_t ClaimEmptySlot(const Key& key) {
     const std::size_t mask = capacity_ - 1;
     std::size_t idx = hash_(key) & mask;
-    std::size_t first_tombstone = kNotFound;
-    while (true) {
-      const Ctrl c = ctrl_[idx];
-      if (c == Ctrl::kEmpty) {
-        std::size_t target = idx;
-        if (first_tombstone != kNotFound) {
-          target = first_tombstone;
-          --tombstones_;
-        }
-        ctrl_[target] = Ctrl::kFull;
-        ++size_;
-        return {target, true};
-      }
-      if (c == Ctrl::kTombstone) {
-        if (first_tombstone == kNotFound) first_tombstone = idx;
-      } else if (slots_[idx].first == key) {
-        return {idx, false};
-      }
-      idx = (idx + 1) & mask;
-    }
+    while (ctrl_[idx] == Ctrl::kFull) idx = (idx + 1) & mask;
+    ctrl_[idx] = Ctrl::kFull;
+    ++size_;
+    return idx;
   }
 
+  /// Backward-shift deletion: empties `idx`, then walks the rest of the run
+  /// and moves each entry whose home slot is not cyclically in (hole, j]
+  /// into the hole, so every entry stays reachable from its home slot.
   void EraseIndex(std::size_t idx) {
+    const std::size_t mask = capacity_ - 1;
     slots_[idx].~value_type();
-    ctrl_[idx] = Ctrl::kTombstone;
-    ++tombstones_;
+    ctrl_[idx] = Ctrl::kEmpty;
     --size_;
+    std::size_t hole = idx;
+    for (std::size_t j = (idx + 1) & mask; ctrl_[j] == Ctrl::kFull;
+         j = (j + 1) & mask) {
+      const std::size_t home = hash_(slots_[j].first) & mask;
+      // Masked distances keep the test right for runs that wrap past 0.
+      if (((j - home) & mask) < ((j - hole) & mask)) continue;
+      new (&slots_[hole]) value_type(std::move(slots_[j]));
+      slots_[j].~value_type();
+      ctrl_[hole] = Ctrl::kFull;
+      ctrl_[j] = Ctrl::kEmpty;
+      hole = j;
+    }
   }
 
   void GrowIfNeeded() {
     if (capacity_ == 0) {
       Rehash(kMinCapacity);
-      return;
-    }
-    // Keep full + tombstone occupancy under 3/4; grow only when live
-    // entries need it, otherwise rehash in place to purge tombstones.
-    if ((size_ + tombstones_ + 1) * 4 > capacity_ * 3) {
-      Rehash((size_ + 1) * 4 > capacity_ * 3 ? capacity_ * 2 : capacity_);
+    } else if ((size_ + 1) * 4 > capacity_ * 3) {
+      Rehash(capacity_ * 2);
     }
   }
 
@@ -300,16 +294,11 @@ class FlatHashMap {
         ::operator new(new_capacity * sizeof(value_type)));
     capacity_ = new_capacity;
     size_ = 0;
-    tombstones_ = 0;
 
-    const std::size_t mask = new_capacity - 1;
     for (std::size_t i = 0; i < old_capacity; ++i) {
       if (old_ctrl[i] != Ctrl::kFull) continue;
-      std::size_t idx = hash_(old_slots[i].first) & mask;
-      while (ctrl_[idx] == Ctrl::kFull) idx = (idx + 1) & mask;
-      new (&slots_[idx]) value_type(std::move(old_slots[i]));
-      ctrl_[idx] = Ctrl::kFull;
-      ++size_;
+      new (&slots_[ClaimEmptySlot(old_slots[i].first)])
+          value_type(std::move(old_slots[i]));
       old_slots[i].~value_type();
     }
     ::operator delete(old_slots);
@@ -324,7 +313,6 @@ class FlatHashMap {
     ctrl_.clear();
     capacity_ = 0;
     size_ = 0;
-    tombstones_ = 0;
   }
 
   void CopyFrom(const FlatHashMap& other) {
@@ -338,19 +326,16 @@ class FlatHashMap {
     slots_ = other.slots_;
     capacity_ = other.capacity_;
     size_ = other.size_;
-    tombstones_ = other.tombstones_;
     other.slots_ = nullptr;
     other.ctrl_.clear();
     other.capacity_ = 0;
     other.size_ = 0;
-    other.tombstones_ = 0;
   }
 
   std::vector<Ctrl> ctrl_;
   value_type* slots_ = nullptr;
   std::size_t capacity_ = 0;
   std::size_t size_ = 0;
-  std::size_t tombstones_ = 0;
   [[no_unique_address]] Hash hash_;
 };
 

@@ -31,7 +31,11 @@ IndexMaintainer::IndexMaintainer(const ScoringContext* ctx,
   MetricRegistry& reg = telemetry_->registry();
   stage_expiry_hist_ = reg.GetHistogram(
       "ksir_maintainer_stage_expiry_seconds",
-      "Bucket-apply stage: expiry erases plus fresh-element layout");
+      "Bucket-apply stage: expiry erases");
+  stage_insert_hist_ = reg.GetHistogram(
+      "ksir_maintainer_stage_insert_seconds",
+      "Bucket-apply stage: fresh-element inserts (serial) or cache-row, "
+      "membership and arena layout (staged)");
   stage_score_hist_ = reg.GetHistogram(
       "ksir_maintainer_stage_score_seconds",
       "Bucket-apply stage: fresh scoring, edge folding, score composition");
@@ -190,14 +194,14 @@ void IndexMaintainer::EraseExpired(const ActiveWindow::Touched& t) {
 
 void IndexMaintainer::ApplySerial(const ActiveWindow::UpdateResult& update) {
   {
-    // Expiry first; fresh-element insertion shares the stage (it is the
-    // serial path's window/membership layout work, matching the parallel
-    // apply's stage 1+2 boundary).
     StageScope scope(telemetry_, stage_expiry_hist_, "maint.expiry");
     for (const ActiveWindow::Touched& t : update.expired) EraseExpired(t);
+  }
+  {
     // Inserted and resurrected elements get the one full scan of their
     // lifetime; the window's referrer sets already reflect this bucket, so
     // their edge spans are empty by contract.
+    StageScope scope(telemetry_, stage_insert_hist_, "maint.insert");
     for (const ActiveWindow::Touched& t : update.inserted) InsertFresh(t);
     for (const ActiveWindow::Touched& t : update.resurrected) InsertFresh(t);
   }
@@ -464,7 +468,9 @@ void IndexMaintainer::ApplyParallel(const ActiveWindow::UpdateResult& update) {
             }
           });
     }
-
+  }
+  {
+    StageScope scope(telemetry_, stage_insert_hist_, "maint.insert");
     // Stage 2 (serial): lay out the bucket's work. Fresh elements get
     // their cache entry rows and membership record (hash maps and pools
     // are single-threaded state); gained/lost elements get an arena buffer

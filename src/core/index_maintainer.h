@@ -224,8 +224,9 @@ class IndexMaintainer {
   std::unique_ptr<Telemetry> owned_telemetry_;
   Telemetry* telemetry_;
   /// Stage histograms (recorded only when timing is enabled); the serial
-  /// and staged applies record the same four stages.
+  /// and staged applies record the same five stages.
   Histogram* stage_expiry_hist_;
+  Histogram* stage_insert_hist_;
   Histogram* stage_score_hist_;
   Histogram* stage_gather_hist_;
   Histogram* stage_list_apply_hist_;

@@ -184,8 +184,9 @@ class SubscriptionManager {
   Histogram* evaluate_hist_;
   Counters totals_;
 
-  /// Pool-stable storage (FlatHashMap rehashes move values, so the maps
-  /// hold pointers; same convention as ActiveWindow's entry pool).
+  /// Pool-stable storage (FlatHashMap moves values on rehash and on erase,
+  /// so the maps hold pointers; same convention as ActiveWindow's entry
+  /// pool).
   ObjectPool<Subscription> sub_pool_;
   ObjectPool<Group> group_pool_;
   FlatHashMap<std::int64_t, Subscription*> subs_;

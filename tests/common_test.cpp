@@ -512,6 +512,117 @@ TEST(FlatHashMapTest, MoveTransfersContents) {
   EXPECT_TRUE(map.empty());  // NOLINT(bugprone-use-after-move)
 }
 
+// Eight home slots at the top of the table, whatever its capacity: every
+// probe run is long and wraps past slot 0.
+struct WrapAroundHash {
+  std::size_t operator()(std::int64_t key) const {
+    return ~std::size_t{0} - static_cast<std::size_t>(key % 8);
+  }
+};
+
+// Counts constructions and destructions so leaked or doubly destroyed
+// values show up after erase's moves.
+struct CountedValue {
+  static inline std::int64_t constructed = 0;
+  static inline std::int64_t destroyed = 0;
+
+  explicit CountedValue(std::int64_t v = 0) : value(v) { ++constructed; }
+  CountedValue(const CountedValue& other) : value(other.value) {
+    ++constructed;
+  }
+  CountedValue(CountedValue&& other) noexcept : value(other.value) {
+    ++constructed;
+  }
+  CountedValue& operator=(const CountedValue&) = default;
+  CountedValue& operator=(CountedValue&&) noexcept = default;
+  ~CountedValue() { ++destroyed; }
+
+  std::int64_t value;
+};
+
+// A sliding window inserts and erases at the same rate. With backward-shift
+// deletion the table keeps its capacity at constant size, even at the 3/4
+// load bound, no step rebuilds it in place, and no entry becomes
+// unreachable.
+TEST(FlatHashMapTest, SteadyChurnKeepsCapacityAndKeys) {
+  FlatHashMap<std::int64_t, CountedValue> map;
+  constexpr std::int64_t kLive = 767;  // one insert ahead reaches 768 = 3/4
+  for (std::int64_t key = 0; key < kLive; ++key) map.emplace(key, key);
+  const std::size_t capacity = map.capacity();
+  ASSERT_EQ(capacity, 1024u);
+  std::int64_t next = kLive;
+  const std::int64_t steps = 100 * static_cast<std::int64_t>(capacity);
+  for (std::int64_t step = 0; step < steps; ++step, ++next) {
+    const std::int64_t constructed_before = CountedValue::constructed;
+    map.emplace(next, next);
+    ASSERT_EQ(map.erase(next - kLive), 1u) << "step " << step;
+    ASSERT_EQ(map.capacity(), capacity) << "step " << step;
+    // A rehash would move every live entry; an erase moves only the rest
+    // of its probe run.
+    ASSERT_LT(CountedValue::constructed - constructed_before, kLive / 4)
+        << "step " << step;
+    if (step % static_cast<std::int64_t>(capacity) == 0) {
+      for (std::int64_t key = next + 1 - kLive; key <= next; ++key) {
+        const auto it = map.find(key);
+        ASSERT_NE(it, map.end()) << "step " << step << " key " << key;
+        ASSERT_EQ(it->second.value, key);
+      }
+    }
+  }
+  EXPECT_EQ(map.size(), static_cast<std::size_t>(kLive));
+  for (std::int64_t key = next - kLive; key < next; ++key) {
+    const auto it = map.find(key);
+    ASSERT_NE(it, map.end()) << "key " << key;
+    EXPECT_EQ(it->second.value, key);
+  }
+  EXPECT_FALSE(map.contains(next - kLive - 1));
+}
+
+TEST(FlatHashMapTest, WrappingRunsMatchUnorderedMap) {
+  CountedValue::constructed = 0;
+  CountedValue::destroyed = 0;
+  {
+    FlatHashMap<std::int64_t, CountedValue, WrapAroundHash> map;
+    std::unordered_map<std::int64_t, std::int64_t> reference;
+    Rng rng(11);
+    const auto expect_same = [&](int round) {
+      ASSERT_EQ(map.size(), reference.size()) << "round " << round;
+      for (const auto& [key, value] : reference) {
+        const auto it = map.find(key);
+        ASSERT_NE(it, map.end()) << "round " << round << " key " << key;
+        ASSERT_EQ(it->second.value, value) << "round " << round;
+      }
+      std::size_t seen = 0;
+      for (const auto& [key, value] : map) {
+        ASSERT_EQ(reference.count(key), 1u) << "round " << round;
+        ++seen;
+      }
+      ASSERT_EQ(seen, reference.size()) << "round " << round;
+    };
+    constexpr int kRounds = 20000;
+    for (int round = 0; round < kRounds; ++round) {
+      // Grow for the first half, shrink for the second, so the table
+      // passes through several capacities in both directions of load.
+      const double insert_share = round < kRounds / 2 ? 0.65 : 0.35;
+      const auto key = static_cast<std::int64_t>(rng.NextUint64(300));
+      if (rng.NextDouble() < insert_share) {
+        map[key] = CountedValue(round);
+        reference[key] = round;
+      } else {
+        ASSERT_EQ(map.erase(key), reference.erase(key)) << "round " << round;
+      }
+      if (round % 97 == 0) expect_same(round);
+    }
+    expect_same(kRounds);
+    map.clear();
+    EXPECT_TRUE(map.empty());
+    EXPECT_EQ(CountedValue::constructed, CountedValue::destroyed);
+    for (std::int64_t key = 0; key < 40; ++key) map.emplace(key, key);
+    for (std::int64_t key = 0; key < 40; key += 3) map.erase(key);
+  }
+  EXPECT_EQ(CountedValue::constructed, CountedValue::destroyed);
+}
+
 // ----------------------------------------------------------- SmallVector --
 
 TEST(SmallVectorTest, StaysInlineUpToN) {

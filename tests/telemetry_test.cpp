@@ -362,6 +362,7 @@ TEST_F(TelemetryIntegrationTest, IngestAndQueryPopulateExpectedMetrics) {
   // shards and 8 buckets there are 16 applies.
   EXPECT_EQ(hist_count("ksir_maintainer_bucket_apply_seconds"), 16);
   EXPECT_EQ(hist_count("ksir_maintainer_stage_expiry_seconds"), 16);
+  EXPECT_EQ(hist_count("ksir_maintainer_stage_insert_seconds"), 16);
   // Regression check: the serial apply path must time its run gather too
   // (it used to report a permanent 0.000 gather stage because only the
   // parallel path owned a gather scope).
@@ -383,6 +384,7 @@ TEST_F(TelemetryIntegrationTest, IngestAndQueryPopulateExpectedMetrics) {
     return m != nullptr ? m->histogram.sum : 0.0;
   };
   const double stage_sum = hist_sum("ksir_maintainer_stage_expiry_seconds") +
+                           hist_sum("ksir_maintainer_stage_insert_seconds") +
                            hist_sum("ksir_maintainer_stage_score_seconds") +
                            hist_sum("ksir_maintainer_stage_gather_seconds") +
                            hist_sum("ksir_maintainer_stage_list_apply_seconds");

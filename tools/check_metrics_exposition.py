@@ -65,6 +65,7 @@ REQUIRED_COUNTERS_NONNEGATIVE = [
 REQUIRED_HISTOGRAMS_POPULATED = [
     "ksir_maintainer_bucket_apply_seconds",
     "ksir_maintainer_stage_expiry_seconds",
+    "ksir_maintainer_stage_insert_seconds",
     "ksir_maintainer_stage_list_apply_seconds",
     "ksir_engine_advance_seconds",
     "ksir_ingest_bucket_seconds",
@@ -76,6 +77,7 @@ REQUIRED_HISTOGRAMS_POPULATED = [
 ]
 STAGE_HISTOGRAMS = [
     "ksir_maintainer_stage_expiry_seconds",
+    "ksir_maintainer_stage_insert_seconds",
     "ksir_maintainer_stage_score_seconds",
     "ksir_maintainer_stage_gather_seconds",
     "ksir_maintainer_stage_list_apply_seconds",
