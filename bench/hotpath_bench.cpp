@@ -1,9 +1,8 @@
 // Ingestion/query hot-path benchmark: parallel staged maintenance (4
 // workers) vs. the serial maintenance pipeline vs. the same pipeline fed by
 // the from-scratch score source, on a reposition-heavy stream — plus a
-// reposition-batch-size sweep, a
-// maintenance-thread sweep (1/2/4 workers) and sharded-ingestion scenarios
-// with the balance-aware routing cap off and on. The JSON records
+// maintenance-thread sweep (1/2/4/8 workers) and sharded-ingestion
+// scenarios with the balance-aware routing cap off and on. The JSON records
 // available_cores: the parallel path is bitwise-identical to the serial
 // one by contract, so on a single-core container it can only show its
 // overhead — wall-clock speedup needs cores.
@@ -11,12 +10,11 @@
 // The workload is deliberately hub-heavy (high mean out-references, strong
 // preferential attachment, flat recency decay) so that most of Algorithm 1's
 // work is repositioning already-indexed elements whose referrer sets
-// changed — exactly the case the score decomposition, the per-list batch
-// sweeps and the carried position handles accelerate. All engines ingest
-// the identical generated stream bucket by bucket; per-bucket wall times
-// and end-of-stream MTTS/MTTD/CELF query latencies are measured, and every
-// engine's query results are required to match (same ids, scores within
-// 1e-9).
+// changed — exactly the case the score decomposition and the carried
+// position handles accelerate. All engines ingest the identical generated
+// stream bucket by bucket; per-bucket wall times and end-of-stream
+// MTTS/MTTD/CELF query latencies are measured, and every engine's query
+// results are required to match (same ids, scores within 1e-9).
 //
 // Emits machine-readable JSON (default ./BENCH_hotpath.json, override with
 // argv[1]) so CI can archive the trajectory and gate on regressions.
@@ -221,9 +219,8 @@ int Run(const char* out_path) {
   dataset.eta = CalibrateEta(dataset.stream);
 
   EngineConfig base = MakeConfig(dataset, /*window_length=*/48 * 3600);
-  // The serial production default: per-list merge sweeps above the
-  // threshold, positions carried as handles through window -> cache ->
-  // lists.
+  // The serial production default: positions carried as handles through
+  // window -> cache -> lists, every reposition one UpdateHandle.
   EngineConfig handle_config = base;
   handle_config.score_maintenance = ScoreMaintenance::kIncremental;
   handle_config.carry_handles = true;
@@ -280,25 +277,6 @@ int Run(const char* out_path) {
         handle_feed,
         Feed(handle.get(),
              std::vector<SocialElement>(dataset.stream.elements)));
-  }
-
-  // Reposition-batch-size sweep: fresh engines, same stream, varying the
-  // per-list threshold (1 = always merge-sweep; larger values keep sparser
-  // lists on the single-reposition fast path), handles carried throughout.
-  const std::size_t kSweep[] = {1, 2, 4, 8, 16};
-  struct SweepPoint {
-    std::size_t batch_min;
-    double total_ms;
-    double p50_ms;
-  };
-  std::vector<SweepPoint> sweep;
-  for (const std::size_t batch_min : kSweep) {
-    EngineConfig config = handle_config;
-    config.reposition_batch_min = batch_min;
-    KsirEngine engine(config, &dataset.stream.model);
-    const BucketStats feed =
-        Feed(&engine, std::vector<SocialElement>(dataset.stream.elements));
-    sweep.push_back({batch_min, feed.total_ms, feed.p50_ms});
   }
 
   // Maintenance-thread sweep: fresh engines, same stream, varying the
@@ -381,8 +359,8 @@ int Run(const char* out_path) {
                               stage_list_apply_ms;
 
   // Sharded-ingestion scenarios: the same stream partitioned over 4 shard
-  // engines (each running the handle maintainer with its own per-shard
-  // batch buffers) advanced in parallel — once with pure chain-affinity
+  // engines (each running the handle maintainer with its own per-bucket
+  // buffers) advanced in parallel — once with pure chain-affinity
   // routing (the cascade stream collapses onto one shard) and once with
   // the balance cap on (bounded active_per_shard spread).
   constexpr std::size_t kNumShards = 4;
@@ -584,11 +562,6 @@ int Run(const char* out_path) {
               "parallel %.0f el/s\n",
               recompute_feed.elements_per_sec, handle_feed.elements_per_sec,
               parallel_feed.elements_per_sec);
-  std::printf("  batch-size sweep (total ms):");
-  for (const SweepPoint& point : sweep) {
-    std::printf(" min=%zu: %.1f", point.batch_min, point.total_ms);
-  }
-  std::printf("\n");
   std::printf("  thread sweep (total ms):");
   for (const ThreadSweepPoint& point : thread_sweep) {
     std::printf(" w=%zu: %.1f", point.threads, point.total_ms);
@@ -710,15 +683,6 @@ int Run(const char* out_path) {
                "\"parallel_vs_handle_p50\": %.3f},\n",
                speedup_total, speedup_p50, parallel_speedup_total,
                parallel_speedup_p50);
-  std::fprintf(out, "  \"batch_sweep\": [");
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    std::fprintf(out,
-                 "%s{\"reposition_batch_min\": %zu, \"total_ms\": %.3f, "
-                 "\"p50_ms\": %.6f}",
-                 i == 0 ? "" : ", ", sweep[i].batch_min, sweep[i].total_ms,
-                 sweep[i].p50_ms);
-  }
-  std::fprintf(out, "],\n");
   std::fprintf(out, "  \"thread_sweep\": [");
   for (std::size_t i = 0; i < thread_sweep.size(); ++i) {
     std::fprintf(out,

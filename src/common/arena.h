@@ -1,7 +1,7 @@
 // Bump-pointer arena and a free-list object pool built on it.
 //
 // The ingestion hot path creates and destroys two kinds of objects at bucket
-// rate: per-bucket scratch (the batched-reposition runs IndexMaintainer
+// rate: per-bucket scratch (the per-topic reposition runs IndexMaintainer
 // scatters per ranked list — all dead at the end of the bucket) and
 // per-element window entries (ActiveWindow::Entry — long-lived but churned
 // continuously by insert/expiry/GC). Arena serves the first: allocations are

@@ -44,10 +44,12 @@ Status ValidateEngineConfig(const EngineConfig& config) {
     return Status::InvalidArgument(
         "window_length must cover at least one bucket");
   }
-  if (config.scoring.eta <= 0.0) {
-    return Status::InvalidArgument("scoring.eta must be positive");
+  // Each check is written so NaN fails it: a NaN eta or lambda would
+  // otherwise pass here and die on ScoringContext's CHECK.
+  if (!(config.scoring.eta > 0.0 && std::isfinite(config.scoring.eta))) {
+    return Status::InvalidArgument("scoring.eta must be positive and finite");
   }
-  if (config.scoring.lambda < 0.0 || config.scoring.lambda > 1.0) {
+  if (!(config.scoring.lambda >= 0.0 && config.scoring.lambda <= 1.0)) {
     return Status::InvalidArgument("scoring.lambda must be in [0, 1]");
   }
   // Written so NaN fails both arms and is rejected here instead of dying
@@ -136,8 +138,7 @@ KsirEngine::KsirEngine(EngineConfig config, const TopicModel* model,
                                        /*fallback=*/1, telemetry_)
                       : nullptr),
       maintainer_(&scoring_, &index_, config.refresh_mode,
-                  config.score_maintenance, config.reposition_batch_min,
-                  config.carry_handles,
+                  config.score_maintenance, config.carry_handles,
                   maintenance_pool != nullptr ? maintenance_pool
                                               : owned_pool_.get(),
                   config.maintenance_threads, telemetry_) {

@@ -41,10 +41,10 @@ struct EngineConfig {
   /// cached score halves (production), kRecompute computes delta_i(e) from
   /// scratch (the reference oracle; see IndexMaintainer).
   ScoreMaintenance score_maintenance = ScoreMaintenance::kIncremental;
-  /// Minimum pending repositions per ranked list (per bucket) before the
-  /// maintainer applies them as one merge sweep instead of per-element
-  /// UpdateHandle calls. 0 switches the merge sweeps off.
-  std::size_t reposition_batch_min = kDefaultRepositionBatchMin;
+  /// No-op kept for source compatibility: every ranked-list reposition is
+  /// one RankedList::UpdateHandle, so there is no merge-sweep threshold to
+  /// set. The field no longer reaches the maintainer.
+  std::size_t reposition_batch_min = 0;
   /// Read the ranked-list position handles carried through the pipeline
   /// (window -> score cache -> maintainer -> ranked lists). false switches
   /// the handle layer off: every list position resolves by its carried

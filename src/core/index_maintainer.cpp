@@ -12,7 +12,6 @@ namespace ksir {
 IndexMaintainer::IndexMaintainer(const ScoringContext* ctx,
                                  RankedListIndex* index, RefreshMode mode,
                                  ScoreMaintenance maintenance,
-                                 std::size_t reposition_batch_min,
                                  bool carry_handles, WorkerPool* pool,
                                  std::size_t parallel_workers,
                                  Telemetry* telemetry)
@@ -20,7 +19,6 @@ IndexMaintainer::IndexMaintainer(const ScoringContext* ctx,
       index_(index),
       mode_(mode),
       maintenance_(maintenance),
-      batch_min_(reposition_batch_min),
       use_handles_(carry_handles),
       owned_telemetry_(telemetry == nullptr ? std::make_unique<Telemetry>()
                                             : nullptr),
@@ -80,7 +78,6 @@ IndexMaintainer::IndexMaintainer(const ScoringContext* ctx,
     for (StampedAccumulator& acc : worker_acc_) {
       acc.Resize(index->num_topics());
     }
-    worker_scratch_.resize(workers_);
   }
 }
 
@@ -317,8 +314,7 @@ void IndexMaintainer::FoldEdges(const ActiveWindow::Touched& t,
 void IndexMaintainer::FlushRepositions() {
   // Scatter the queued (topic, update) pairs into contiguous per-topic
   // runs. Processing list by list (instead of element by element across
-  // all of its lists) keeps each chunk directory hot, and lists with
-  // enough pending work take the one-pass merge sweep. Topic order is
+  // all of its lists) keeps each chunk directory hot. Topic order is
   // sorted only for determinism of the arena layout; the runs are
   // independent. No early-out on an empty queue: both stage scopes record
   // on every bucket, keeping the per-bucket histogram counts exact.
@@ -326,7 +322,7 @@ void IndexMaintainer::FlushRepositions() {
   std::uint32_t* offsets = nullptr;
   {
     // Stage accounting mirrors the parallel apply: the sort + run scatter
-    // is the gather stage, the per-list sweeps below are list_apply.
+    // is the gather stage, the per-list runs below are list_apply.
     StageScope scope(telemetry_, stage_gather_hist_, "maint.gather");
     run_arena_.Reset();
     runs = run_arena_.AllocateArray<RankedList::HandleUpdate>(
@@ -353,9 +349,7 @@ void IndexMaintainer::FlushRepositions() {
     const TopicId topic = touched_[i];
     const std::uint32_t begin = offsets[i];
     const std::uint32_t end = topic_counts_[static_cast<std::size_t>(topic)];
-    const std::size_t count = end - begin;
-    index_->BatchRepositionHandles(topic, runs + begin, count, Merges(count),
-                                   &batch_scratch_);
+    index_->RepositionHandles(topic, runs + begin, end - begin);
     topic_counts_[static_cast<std::size_t>(topic)] = 0;
   }
   touched_.clear();
@@ -659,22 +653,16 @@ void IndexMaintainer::ApplyParallel(const ActiveWindow::UpdateResult& update) {
   // write-backs land identically to the serial order because each list
   // executes its serial operation sequence. ParallelRunAffine gives unit i
   // the i % P residue that scattered its runs in stage 4b — warm caches —
-  // while the steal sweep keeps the stage work-conserving; per-participant
-  // BatchScratch keeps the merge sweeps allocation- and contention-free.
+  // while the steal sweep keeps the stage work-conserving.
   ParallelRunAffine(
-      pool_, workers_, touched_.size(), [&](std::size_t p, std::size_t i) {
-        RankedList::BatchScratch& scratch = worker_scratch_[p];
+      pool_, workers_, touched_.size(), [&](std::size_t, std::size_t i) {
         const TopicId topic = touched_[i];
         for (std::uint32_t k = insert_off[i]; k < insert_off[i + 1]; ++k) {
           *insert_runs[k].handle = index_->InsertListEntry(
               topic, insert_runs[k].id, insert_runs[k].score);
         }
-        const std::uint32_t begin = update_off[i];
-        const std::uint32_t n = update_off[i + 1] - begin;
-        if (n > 0) {
-          index_->BatchRepositionHandles(topic, update_runs + begin, n,
-                                         Merges(n), &scratch);
-        }
+        index_->RepositionHandles(topic, update_runs + update_off[i],
+                                  update_off[i + 1] - update_off[i]);
       });
 
   // Restore the lazily-zeroed counters for the next bucket.

@@ -49,12 +49,6 @@ enum class ScoreMaintenance {
   kRecompute,
 };
 
-/// Default IndexMaintainer batching threshold: lists with at least this
-/// many pending repositions in a bucket are updated by one merge sweep;
-/// sparser lists take per-element UpdateHandle calls. Chosen from the
-/// hotpath bench's batch-size sweep (see BENCH_hotpath.json).
-inline constexpr std::size_t kDefaultRepositionBatchMin = 2;
-
 /// Applies window updates to the ranked lists (Algorithm 1 lines 4-13).
 ///
 /// There is one pipeline. A bucket's repositions are built entirely from
@@ -62,18 +56,17 @@ inline constexpr std::size_t kDefaultRepositionBatchMin = 2;
 /// records (element pointer, final t_e, gained/lost referrer topic spans,
 /// the user slot holding the element's ScoreCache entry) and the entry
 /// itself (score halves, listed score, ranked-list handle) — so a touched
-/// element costs no hash probe. Per-topic runs of the changed keys are
-/// applied by one merge sweep per list (or per-element UpdateHandle below
-/// the batching threshold). All batching state is owned by this maintainer
-/// — one engine's maintainer never shares mutable state with another's,
-/// which is what lets the sharded service advance shards in parallel.
+/// element costs no hash probe. The changed keys are gathered into one run
+/// per topic, and each list applies its run as per-element UpdateHandle
+/// calls. All per-bucket state is owned by this maintainer — one engine's
+/// maintainer never shares mutable state with another's, which is what
+/// lets the sharded service advance shards in parallel.
 ///
-/// Three constructor knobs each switch off one layer of that pipeline,
-/// never selecting a different apply: `reposition_batch_min = 0` turns off
-/// the merge sweeps (every reposition is a per-element UpdateHandle);
-/// `carry_handles = false` stops reading list handles (positions resolve
-/// by the carried listed key, the fallback a stale handle already takes);
-/// a pool with `parallel_workers < 2` runs the apply serially.
+/// Two constructor knobs each switch off one layer of that pipeline,
+/// never selecting a different apply: `carry_handles = false` stops reading
+/// list handles (positions resolve by the carried listed key, the fallback
+/// a stale handle already takes); a pool with `parallel_workers < 2` runs
+/// the apply serially.
 ///
 /// With a runtime WorkerPool and `parallel_workers >= 2` the bucket apply
 /// runs STAGED (see ApplyParallel), and every stage that touches list
@@ -96,8 +89,7 @@ inline constexpr std::size_t kDefaultRepositionBatchMin = 2;
 ///      concatenated runs equal the serial queue order by construction;
 ///   5. list apply (parallel, topic-sharded) — each touched topic's
 ///      RankedList (fresh inserts then the reposition run) is claimed by
-///      exactly one worker, so no list-level locking; per-worker
-///      BatchScratch keeps the merge sweeps allocation-free.
+///      exactly one worker, so no list-level locking.
 /// The topic-keyed stages run through ParallelRunAffine, so the same
 /// topic shard lands on the same pool worker bucket after bucket (cache
 /// affinity; see runtime/worker_pool.h). Because every list sees the
@@ -110,12 +102,11 @@ class IndexMaintainer {
  public:
   /// `ctx` and `index` must outlive the maintainer; `ctx`'s window must be
   /// the window whose updates are applied. `maintenance` picks the score
-  /// source. `reposition_batch_min` is the per-list merge-sweep threshold
-  /// (0 = never merge). `carry_handles = false` resolves every list
-  /// position by its carried key instead of its handle. `pool` +
-  /// `parallel_workers >= 2` enable the staged parallel apply (`pool` must
-  /// outlive the maintainer and may be shared — the stages fan out through
-  /// ParallelRun, whose caller participation tolerates a busy pool).
+  /// source. `carry_handles = false` resolves every list position by its
+  /// carried key instead of its handle. `pool` + `parallel_workers >= 2`
+  /// enable the staged parallel apply (`pool` must outlive the maintainer
+  /// and may be shared — the stages fan out through ParallelRun, whose
+  /// caller participation tolerates a busy pool).
   /// `telemetry` (optional, must outlive the maintainer) receives the
   /// per-stage bucket-apply histograms (`ksir_maintainer_stage_*_seconds`)
   /// and touched/reposition/elision counters; null gives the maintainer a
@@ -123,7 +114,6 @@ class IndexMaintainer {
   IndexMaintainer(const ScoringContext* ctx, RankedListIndex* index,
                   RefreshMode mode = RefreshMode::kExact,
                   ScoreMaintenance maintenance = ScoreMaintenance::kIncremental,
-                  std::size_t reposition_batch_min = kDefaultRepositionBatchMin,
                   bool carry_handles = true, WorkerPool* pool = nullptr,
                   std::size_t parallel_workers = 0,
                   Telemetry* telemetry = nullptr);
@@ -158,11 +148,6 @@ class IndexMaintainer {
     return &half->handle;
   }
 
-  /// True when a list with `n` pending repositions takes the merge sweep.
-  bool Merges(std::size_t n) const {
-    return batch_min_ > 0 && n >= batch_min_;
-  }
-
   /// Erases one expired element from the lists and the cache (the serial
   /// apply path; the parallel apply shards the list erases by topic — see
   /// ApplyParallel stage 1).
@@ -180,7 +165,7 @@ class IndexMaintainer {
                       bool te_changed);
 
   /// Scatters the queued repositions into arena-backed per-topic runs and
-  /// applies each touched list's run in one BatchRepositionHandles call.
+  /// applies each touched list's run in one RepositionHandles call.
   void FlushRepositions();
 
   /// Scatters one element's carried edge spans into `acc` and folds them
@@ -210,7 +195,6 @@ class IndexMaintainer {
   RankedListIndex* index_;
   RefreshMode mode_;
   ScoreMaintenance maintenance_;
-  std::size_t batch_min_;
   /// Read list handles (false: resolve positions by the carried key).
   bool use_handles_;
   /// Staged parallel apply: pool + participant count (the advancing thread
@@ -253,7 +237,7 @@ class IndexMaintainer {
   /// rows of fresh inserts and parallel-apply erases).
   std::vector<TopicId> topic_id_scratch_;
 
-  /// ---- per-bucket batching state (live only within one Apply call) ----
+  /// ---- per-bucket reposition state (live only within one Apply call) ----
   /// One pending ranked-list reposition per (topic, element), in queue
   /// order; it points back into the ScoreCache entry so the list writes
   /// the refreshed position hint straight through.
@@ -271,7 +255,6 @@ class IndexMaintainer {
   StampedAccumulator edge_acc_;
   /// Backs the scattered per-topic runs; reset every flush.
   Arena run_arena_;
-  RankedList::BatchScratch batch_scratch_;
 
   /// ---- staged parallel apply state (parallel_ engines only) ----
   /// One fresh (inserted / resurrected) element of the bucket: entry rows
@@ -325,11 +308,10 @@ class IndexMaintainer {
   /// Pending fresh list inserts per topic (the reposition counts reuse
   /// topic_counts_); zeroed lazily via touched_.
   std::vector<std::uint32_t> insert_counts_;
-  /// Per-worker scratch: dense accumulators for the element stage, batch
-  /// scratch for the topic stage — indexed by ParallelRun participant, so
-  /// the stages allocate nothing and contend on nothing.
+  /// Per-worker dense accumulators for the element stage, indexed by
+  /// ParallelRun participant, so the stage allocates nothing and contends
+  /// on nothing.
   std::vector<StampedAccumulator> worker_acc_;
-  std::vector<RankedList::BatchScratch> worker_scratch_;
 };
 
 }  // namespace ksir

@@ -138,17 +138,6 @@ void RankedList::EraseKeyAt(Chunk* chunk, std::uint32_t offset) {
   }
 }
 
-void RankedList::EraseKey(const Key& key) {
-  KSIR_CHECK(!chunks_.empty());
-  const std::size_t idx = FindChunk(key);
-  Chunk* chunk = chunks_[idx].get();
-  Key* const first = chunk->keys.data();
-  Key* const last = first + chunk->size;
-  Key* const pos = std::lower_bound(first, last, key);
-  KSIR_CHECK(pos < last && *pos == key);
-  EraseKeyAt(chunk, static_cast<std::uint32_t>(pos - first));
-}
-
 void RankedList::MaybeMerge(std::size_t idx) {
   // Fold the sparse chunk into a neighbor when the pair stays under
   // capacity, bounding the chunk count under sustained churn. The moved
@@ -222,190 +211,6 @@ void RankedList::UpdateHandle(const HandleUpdate& u) {
   }
   Chunk* dest = MoveAt(chunk, offset, Key{u.score, u.id});
   *u.handle = Handle{dest->slot, dest->gen};
-}
-
-void RankedList::ApplyBatchHandles(const HandleUpdate* updates, std::size_t n,
-                                   BatchScratch* scratch) {
-  // The carried listed scores ARE the old keys, so the batch needs no
-  // per-update resolution at all: the merge sweep removes the carried keys
-  // (its own consistency checks verify every one was present), inserts the
-  // new ones and mints the refreshed handles where they land. An unchanged
-  // key has nothing to move and keeps its (still valid or harmlessly
-  // stale) handle.
-  scratch->removals.clear();
-  scratch->insertions.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    const HandleUpdate& u = updates[i];
-    KSIR_CHECK(!std::isnan(u.score));
-    if (u.score == u.old_score) continue;
-    scratch->removals.push_back(Key{u.old_score, u.id});
-    scratch->insertions.push_back(
-        BatchScratch::PendingInsert{Key{u.score, u.id}, u.handle});
-  }
-  MergeBatch(scratch);
-}
-
-void RankedList::MergeBatch(BatchScratch* scratch) {
-  auto& removals = scratch->removals;
-  auto& insertions = scratch->insertions;
-  auto& deferred_removals = scratch->deferred_removals;
-  auto& deferred_insertions = scratch->deferred_insertions;
-  deferred_removals.clear();
-  deferred_insertions.clear();
-  if (removals.empty()) return;
-  std::sort(removals.begin(), removals.end());
-  std::sort(insertions.begin(), insertions.end(),
-            [](const BatchScratch::PendingInsert& a,
-               const BatchScratch::PendingInsert& b) { return a.key < b.key; });
-
-  // One sweep over the chunk directory: the sorted removal/insertion runs
-  // are partitioned by the (original) chunk boundaries and each touched
-  // chunk is rewritten by ONE in-place three-way merge — no allocation, no
-  // directory search per key, untouched chunks never inspected. Keys are
-  // unique across all three streams (ids are unique per list; a
-  // repositioned id's old and new key differ), so the merge needs no
-  // tie-breaking. A chunk the batch would grow past capacity defers its
-  // ops to the per-element path below (rare: needs >capacity keys landing
-  // in one chunk's span). Landed insertions mint their handle on the spot.
-  std::size_t ri = 0;
-  std::size_t ii = 0;
-  bool any_small = false;
-  for (std::size_t c = 0;
-       c < chunks_.size() && (ri < removals.size() || ii < insertions.size());
-       ++c) {
-    Chunk* chunk = chunks_[c].get();
-    const Key last = chunk_last_[c];
-    const bool last_chunk = c + 1 == chunks_.size();
-    std::size_t r_end = ri;
-    std::size_t i_end = ii;
-    if (last_chunk) {
-      r_end = removals.size();  // removals are always present keys
-      i_end = insertions.size();
-    } else {
-      while (r_end < removals.size() && !(last < removals[r_end])) ++r_end;
-      while (i_end < insertions.size() && !(last < insertions[i_end].key)) {
-        ++i_end;
-      }
-    }
-    if (r_end == ri && i_end == ii) continue;
-    const std::size_t new_size = chunk->size - (r_end - ri) + (i_end - ii);
-    if (new_size > kChunkCapacity) {
-      deferred_removals.insert(
-          deferred_removals.end(),
-          removals.begin() + static_cast<std::ptrdiff_t>(ri),
-          removals.begin() + static_cast<std::ptrdiff_t>(r_end));
-      deferred_insertions.insert(
-          deferred_insertions.end(),
-          insertions.begin() + static_cast<std::ptrdiff_t>(ii),
-          insertions.begin() + static_cast<std::ptrdiff_t>(i_end));
-      ri = r_end;
-      ii = i_end;
-      continue;
-    }
-    // Merge only the affected span [s, e): from the first event key to one
-    // past the last. Repositions are typically small nudges clustered near
-    // the top of the list, so the span is a fraction of the chunk.
-    Key* const keys = chunk->keys.data();
-    const std::uint32_t old_size = chunk->size;
-    const Key lo =
-        ri < r_end && (ii == i_end || removals[ri] < insertions[ii].key)
-            ? removals[ri]
-            : insertions[ii].key;
-    const Key hi =
-        r_end > ri && (i_end == ii ||
-                       insertions[i_end - 1].key < removals[r_end - 1])
-            ? removals[r_end - 1]
-            : insertions[i_end - 1].key;
-    const auto s = static_cast<std::uint32_t>(
-        std::lower_bound(keys, keys + old_size, lo) - keys);
-    const auto e = static_cast<std::uint32_t>(
-        std::upper_bound(keys, keys + old_size, hi) - keys);
-    const std::uint32_t old_span = e - s;
-    const auto new_span = static_cast<std::uint32_t>(
-        old_span - (r_end - ri) + (i_end - ii));
-    std::array<Key, kChunkCapacity> tmp;
-    // Three steps: (1) copy the span aside compacting the removal run out
-    // of it, (2) shift the untouched suffix once, (3) two-way merge of the
-    // kept keys with the insertion run back into place. Handle minting
-    // needs only the destination chunk's slot/gen, so it runs after the
-    // merge, off the hot key-move path.
-    std::uint32_t kept = 0;
-    for (std::uint32_t src = s; src < e; ++src) {
-      if (ri < r_end && removals[ri] == keys[src]) {
-        ++ri;
-        continue;
-      }
-      tmp[kept++] = keys[src];
-    }
-    KSIR_CHECK(ri == r_end);
-    if (new_span != old_span) {  // shift the untouched suffix once
-      if (new_span < old_span) {
-        std::copy(keys + e, keys + old_size, keys + s + new_span);
-      } else {
-        std::copy_backward(keys + e, keys + old_size,
-                           keys + old_size + (new_span - old_span));
-      }
-    }
-    const auto ins_count = static_cast<std::uint32_t>(i_end - ii);
-    KSIR_CHECK(kept + ins_count == new_span);
-    std::array<Key, kChunkCapacity> ins_keys;
-    for (std::uint32_t k = 0; k < ins_count; ++k) {
-      ins_keys[k] = insertions[ii + k].key;
-    }
-    std::merge(tmp.data(), tmp.data() + kept, ins_keys.data(),
-               ins_keys.data() + ins_count, keys + s);
-    for (; ii < i_end; ++ii) {
-      *insertions[ii].handle = Handle{chunk->slot, chunk->gen};
-    }
-    chunk->size = static_cast<std::uint32_t>(new_size);
-    if (new_size > 0) chunk_last_[c] = keys[new_size - 1];
-    if (new_size < kChunkCapacity / 4) any_small = true;
-  }
-  KSIR_CHECK(ri == removals.size() && ii == insertions.size());
-
-  if (any_small) {
-    // Compaction pass mirroring the erase-path merge policy: drop emptied
-    // chunks and fold runs of sparse neighbors together, bounding the
-    // chunk count under sustained batched churn.
-    std::size_t write = 0;
-    for (std::size_t c = 0; c < chunks_.size(); ++c) {
-      if (chunks_[c]->size == 0) {
-        FreeChunk(chunks_[c].get());
-        continue;
-      }
-      if (write > 0 &&
-          chunks_[write - 1]->size < kChunkCapacity / 4 &&
-          chunks_[write - 1]->size + chunks_[c]->size <= kChunkCapacity) {
-        Chunk* dst = chunks_[write - 1].get();
-        Chunk* src = chunks_[c].get();
-        std::copy(src->keys.data(), src->keys.data() + src->size,
-                  dst->keys.data() + dst->size);
-        dst->size += src->size;
-        chunk_last_[write - 1] = dst->keys[dst->size - 1];
-        FreeChunk(src);
-        continue;
-      }
-      if (write != c) {
-        chunks_[write] = std::move(chunks_[c]);
-        chunk_last_[write] = chunk_last_[c];
-      }
-      ++write;
-    }
-    chunks_.resize(write);
-    chunk_last_.resize(write);
-    Renumber(0);
-  }
-  // A reposition batch never changes the element count, but the deferred
-  // per-element ops below bump size_ (+1 per InsertKey, -1 per EraseKeyAt)
-  // while their in-place counterparts did not; pre-compensate so the two
-  // halves cancel.
-  size_ += deferred_removals.size();
-  size_ -= deferred_insertions.size();
-  for (const Key& key : deferred_removals) EraseKey(key);
-  for (const BatchScratch::PendingInsert& ins : deferred_insertions) {
-    Chunk* dest = InsertKey(ins.key);
-    *ins.handle = Handle{dest->slot, dest->gen};
-  }
 }
 
 void RankedList::EraseHandle(ElementId id, double score, Handle handle) {
@@ -525,22 +330,13 @@ Timestamp RankedListIndex::TimeOf(ElementId id) const {
   return it->second.te;
 }
 
-void RankedListIndex::BatchRepositionHandles(
-    TopicId topic, const RankedList::HandleUpdate* updates, std::size_t n,
-    bool merge, RankedList::BatchScratch* scratch) {
+void RankedListIndex::RepositionHandles(
+    TopicId topic, const RankedList::HandleUpdate* updates, std::size_t n) {
   KSIR_CHECK(topic >= 0 && static_cast<std::size_t>(topic) < lists_.size());
   RankedList& list = lists_[static_cast<std::size_t>(topic)];
-#ifndef NDEBUG
   for (std::size_t i = 0; i < n; ++i) {
     KSIR_DCHECK(membership_.contains(updates[i].id));
-  }
-#endif
-  if (merge) {
-    list.ApplyBatchHandles(updates, n, scratch);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      list.UpdateHandle(updates[i]);
-    }
+    list.UpdateHandle(updates[i]);
   }
 }
 

@@ -152,23 +152,6 @@ class RankedList {
     std::uint32_t offset_ = 0;
   };
 
-  /// Reusable scratch of the batched reposition path (sorted removal and
-  /// insertion runs). Owned by the caller so one buffer serves every list
-  /// of an index; never shared across threads.
-  struct BatchScratch {
-    /// One pending insertion: the new key and the handle slot to refresh.
-    struct PendingInsert {
-      Key key;
-      Handle* handle;
-    };
-    std::vector<Key> removals;
-    std::vector<PendingInsert> insertions;
-    /// Ops deferred to the per-element path (chunks the batch would
-    /// overflow past capacity); almost always empty.
-    std::vector<Key> deferred_removals;
-    std::vector<PendingInsert> deferred_insertions;
-  };
-
   /// Inserts a new element; it must not be present. Returns the minted
   /// position handle.
   Handle Insert(ElementId id, double score);
@@ -178,18 +161,6 @@ class RankedList {
   /// common case (new key stays in the hinted chunk) performs zero
   /// directory searches.
   void UpdateHandle(const HandleUpdate& u);
-
-  /// Repositions `n` existing elements (each present, each at most once) in
-  /// one pass: the pending keys are sorted and merged into the chunk
-  /// sequence in a single sweep of the chunk directory, instead of `n`
-  /// independent binary-search + memmove operations. Equivalent to calling
-  /// UpdateHandle once per update — the resulting key sequence is
-  /// identical; only the (unobservable) chunk boundaries may differ. The
-  /// carried listed scores are the old keys, so no position is resolved;
-  /// every moved element's refreshed handle is written back through its
-  /// HandleUpdate.
-  void ApplyBatchHandles(const HandleUpdate* updates, std::size_t n,
-                         BatchScratch* scratch);
 
   /// Removes an element through its carried handle + listed score.
   void EraseHandle(ElementId id, double score, Handle handle);
@@ -245,18 +216,12 @@ class RankedList {
   /// Erases the key at `offset` of `chunk`, merging / dropping the chunk
   /// when it runs dry.
   void EraseKeyAt(Chunk* chunk, std::uint32_t offset);
-  /// Erase by key value (directory search + EraseKeyAt).
-  void EraseKey(const Key& key);
 
   /// Repositions the key at `offset` of `chunk` to `new_key`; stays inside
   /// the chunk (local memmoves, no directory search) whenever the new key
   /// lands in the same chunk — the common case for hub elements nudged
   /// every bucket. Returns the chunk that holds the key afterwards.
   Chunk* MoveAt(Chunk* chunk, std::uint32_t offset, const Key& new_key);
-
-  /// One-sweep merge of the sorted removal/insertion runs built by
-  /// ApplyBatchHandles.
-  void MergeBatch(BatchScratch* scratch);
 
   /// Merges chunk `idx` with a neighbor when the pair fits in one chunk.
   void MaybeMerge(std::size_t idx);
@@ -305,16 +270,13 @@ class RankedListIndex {
   RankedList::Handle InsertListEntry(TopicId topic, ElementId id,
                                      double score);
 
-  /// Applies `n` repositions destined for one topic's list; every update's
-  /// element must have `topic` in its insertion support (debug-verified).
-  /// `merge` selects the one-pass RankedList::ApplyBatchHandles sweep;
-  /// false falls back to per-element UpdateHandle calls (profitable for
-  /// lists with only a couple of pending repositions). Refreshed handles
-  /// are written back either way.
-  void BatchRepositionHandles(TopicId topic,
-                              const RankedList::HandleUpdate* updates,
-                              std::size_t n, bool merge,
-                              RankedList::BatchScratch* scratch);
+  /// Applies `n` repositions destined for one topic's list, one
+  /// RankedList::UpdateHandle each, in run order; every update's element
+  /// must have `topic` in its insertion support (debug-verified). Refreshed
+  /// handles are written back through the updates.
+  void RepositionHandles(TopicId topic,
+                         const RankedList::HandleUpdate* updates,
+                         std::size_t n);
 
   /// Updates the element's t_e (one membership write; the lists are not
   /// touched). The maintainer's per-topic runs carry only score changes.

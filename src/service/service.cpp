@@ -17,7 +17,8 @@ Status ValidateServiceConfig(const ServiceConfig& config) {
   if (config.cache_capacity < 1) {
     return Status::InvalidArgument("cache_capacity must be >= 1");
   }
-  if (config.cache_quantum <= 0.0) {
+  // Written so NaN fails it instead of dying on ResultCache's CHECK.
+  if (!(config.cache_quantum > 0.0)) {
     return Status::InvalidArgument("cache_quantum must be positive");
   }
   return Status::OK();

@@ -44,18 +44,6 @@ class TrackedList {
     list_.EraseHandle(id, l.score, l.handle);
     listed_.erase(id);
   }
-  /// One merge sweep over `updates` (each id at most once).
-  void ApplyBatch(const std::vector<std::pair<ElementId, double>>& updates,
-                  RankedList::BatchScratch* scratch) {
-    std::vector<RankedList::HandleUpdate> batch;
-    for (const auto& [id, score] : updates) {
-      Listed& l = listed_.at(id);
-      batch.push_back({id, l.score, score, &l.handle});
-      l.score = score;
-    }
-    list_.ApplyBatchHandles(batch.data(), batch.size(), scratch);
-  }
-
   const RankedList& list() const { return list_; }
   const std::map<ElementId, Listed>& listed() const { return listed_; }
 
@@ -145,24 +133,22 @@ TEST(RankedListIndexTest, RepositionAcrossListsAndMoveTime) {
   RankedList::Handle handles[2];
   index.Insert(1, {{0, 0.9}, {1, 0.1}}, 5, handles);
   index.Insert(2, {{0, 0.5}, {1, 0.5}}, 6);
-  RankedList::BatchScratch scratch;
-  for (const bool merge : {false, true}) {
-    // Swing element 1 between the two lists' heads and back, through both
-    // the per-element and the merge-sweep flavor.
-    const double to0 = merge ? 0.9 : 0.2;
-    const double to1 = merge ? 0.1 : 0.8;
-    RankedList::HandleUpdate u0{1, merge ? 0.2 : 0.9, to0, &handles[0]};
-    RankedList::HandleUpdate u1{1, merge ? 0.8 : 0.1, to1, &handles[1]};
-    index.BatchRepositionHandles(0, &u0, 1, merge, &scratch);
-    index.BatchRepositionHandles(1, &u1, 1, merge, &scratch);
-    index.TouchTime(1, merge ? 8 : 7);
-    EXPECT_EQ(index.list(0).begin()->id, merge ? 1 : 2);
-    EXPECT_EQ(index.list(1).begin()->id, merge ? 2 : 1);
+  for (const bool back : {false, true}) {
+    // Swing element 1 between the two lists' heads, then back.
+    const double to0 = back ? 0.9 : 0.2;
+    const double to1 = back ? 0.1 : 0.8;
+    RankedList::HandleUpdate u0{1, back ? 0.2 : 0.9, to0, &handles[0]};
+    RankedList::HandleUpdate u1{1, back ? 0.8 : 0.1, to1, &handles[1]};
+    index.RepositionHandles(0, &u0, 1);
+    index.RepositionHandles(1, &u1, 1);
+    index.TouchTime(1, back ? 8 : 7);
+    EXPECT_EQ(index.list(0).begin()->id, back ? 1 : 2);
+    EXPECT_EQ(index.list(1).begin()->id, back ? 2 : 1);
     EXPECT_EQ(index.list(0).ProbeHandle(handles[0], 1, to0),
               RankedList::HandleState::kValid);
     EXPECT_EQ(index.list(1).ProbeHandle(handles[1], 1, to1),
               RankedList::HandleState::kValid);
-    EXPECT_EQ(index.TimeOf(1), merge ? 8 : 7);
+    EXPECT_EQ(index.TimeOf(1), back ? 8 : 7);
     EXPECT_EQ(index.TimeOf(2), 6);
   }
 }
@@ -443,125 +429,6 @@ TEST(RankedListChurnTest, GetSurvivesRepositioning) {
   }
 }
 
-// ---------------------------------------------------- ApplyBatchHandles --
-
-/// Applies `updates` to `batched` via one merge sweep and to `single` via
-/// per-element UpdateHandle calls, then requires identical key sequences.
-void CheckBatchMatchesSingle(
-    TrackedList* batched, TrackedList* single,
-    const std::vector<std::pair<ElementId, double>>& updates) {
-  RankedList::BatchScratch scratch;
-  batched->ApplyBatch(updates, &scratch);
-  for (const auto& [id, score] : updates) single->Update(id, score);
-  const RankedList& b = batched->list();
-  const RankedList& s = single->list();
-  ASSERT_EQ(b.size(), s.size());
-  auto single_it = s.begin();
-  for (const auto& key : b) {
-    EXPECT_EQ(key.id, single_it->id);
-    EXPECT_EQ(key.score, single_it->score);  // bitwise-identical doubles
-    ++single_it;
-  }
-  EXPECT_EQ(single_it, s.end());
-  for (const auto& [id, score] : updates) {
-    EXPECT_EQ(b.Get(id), s.Get(id));
-  }
-}
-
-TEST(RankedListBatchTest, BatchEqualsSingleOnSmallList) {
-  TrackedList batched;
-  TrackedList single;
-  for (ElementId id = 0; id < 10; ++id) {
-    batched.Insert(id, static_cast<double>(id));
-    single.Insert(id, static_cast<double>(id));
-  }
-  // Mix of upward moves, downward moves, a no-op score and a tie with an
-  // untouched element.
-  CheckBatchMatchesSingle(&batched, &single,
-                          {{3, 12.0},
-                           {7, 0.5},
-                           {5, 5.0},
-                           {1, 6.0}});
-}
-
-TEST(RankedListBatchTest, BatchAcrossManyChunksMatchesReference) {
-  // Enough keys for dozens of chunks; batches repeatedly reposition random
-  // subsets and the result must match a per-element Update twin and an
-  // std::set reference at every step.
-  TrackedList batched;
-  TrackedList single;
-  std::set<RankedList::Key> reference;
-  std::map<ElementId, double> score_of;
-  std::mt19937_64 rng(99);
-  std::uniform_real_distribution<double> score_dist(0.0, 1.0);
-  for (ElementId id = 0; id < 2000; ++id) {
-    const double score = score_dist(rng);
-    batched.Insert(id, score);
-    single.Insert(id, score);
-    reference.insert(RankedList::Key{score, id});
-    score_of[id] = score;
-  }
-  for (int round = 0; round < 40; ++round) {
-    // Batch sizes sweep from a couple of keys to a large fraction of the
-    // list (collisions with chunk boundaries, emptied chunks, clustered
-    // and spread targets all occur across rounds).
-    const std::size_t batch_size = 2 + (rng() % 400);
-    std::vector<std::pair<ElementId, double>> updates;
-    std::set<ElementId> used;
-    for (std::size_t i = 0; i < batch_size; ++i) {
-      const ElementId id = static_cast<ElementId>(rng() % 2000);
-      if (!used.insert(id).second) continue;
-      // Occasionally cluster scores to exercise near-equal keys.
-      const double score = (rng() % 4 == 0)
-                               ? 0.5
-                               : score_dist(rng);
-      updates.push_back({id, score});
-      reference.erase(RankedList::Key{score_of[id], id});
-      reference.insert(RankedList::Key{score, id});
-      score_of[id] = score;
-    }
-    ASSERT_NO_FATAL_FAILURE(
-        CheckBatchMatchesSingle(&batched, &single, updates));
-    ASSERT_EQ(batched.list().size(), reference.size());
-    auto ref_it = reference.begin();
-    for (const auto& key : batched.list()) {
-      ASSERT_EQ(key.id, ref_it->id);
-      ASSERT_EQ(key.score, ref_it->score);
-      ++ref_it;
-    }
-  }
-}
-
-TEST(RankedListBatchTest, WholeListRepositionedInOneBatch) {
-  TrackedList batched;
-  TrackedList single;
-  std::vector<std::pair<ElementId, double>> updates;
-  for (ElementId id = 0; id < 500; ++id) {
-    batched.Insert(id, static_cast<double>(id));
-    single.Insert(id, static_cast<double>(id));
-    // Reverse the entire order in one sweep.
-    updates.push_back({id, static_cast<double>(500 - id)});
-  }
-  CheckBatchMatchesSingle(&batched, &single, updates);
-}
-
-TEST(RankedListBatchTest, NoOpScoresLeaveOrderUntouched) {
-  TrackedList tracked;
-  for (ElementId id = 0; id < 100; ++id) {
-    tracked.Insert(id, static_cast<double>(id));
-  }
-  std::vector<std::pair<ElementId, double>> updates;
-  for (ElementId id = 0; id < 100; id += 7) {
-    updates.push_back({id, static_cast<double>(id)});
-  }
-  RankedList::BatchScratch scratch;
-  tracked.ApplyBatch(updates, &scratch);
-  ElementId expected = 99;
-  for (const auto& key : tracked.list()) {
-    EXPECT_EQ(key.id, expected--);
-  }
-}
-
 // ---------------------------------------------------- Handles & DrainTop --
 
 TEST(RankedListHandleTest, InsertMintsResolvingHandle) {
@@ -580,15 +447,11 @@ TEST(RankedListHandleTest, RepositionsRefreshHandles) {
   RankedList::Handle h2 = list.Insert(2, 0.20);
   RankedList::Handle h3 = list.Insert(3, 0.30);
 
-  // Single-update flavor: moves within the only chunk. Batched flavor:
-  // one move plus a no-op score.
+  // Two moves within the only chunk plus a no-op score, which must still
+  // leave a valid handle.
   list.UpdateHandle({1, 0.10, 0.25, &h1});
-  RankedList::HandleUpdate updates[] = {
-      {2, 0.20, 0.05, &h2},
-      {3, 0.30, 0.30, &h3},
-  };
-  RankedList::BatchScratch scratch;
-  list.ApplyBatchHandles(updates, 2, &scratch);
+  list.UpdateHandle({2, 0.20, 0.05, &h2});
+  list.UpdateHandle({3, 0.30, 0.30, &h3});
 
   EXPECT_EQ(list.ProbeHandle(h1, 1, 0.25), RankedList::HandleState::kValid);
   EXPECT_EQ(list.ProbeHandle(h2, 2, 0.05), RankedList::HandleState::kValid);
@@ -628,7 +491,7 @@ TEST(RankedListHandleTest, StaleHandleFallsBackToCarriedKey) {
 
 TEST(RankedListHandleTest, ChurnPropertyEveryLiveHandleResolvesOrFallsBack) {
   // Random churn across every mutation flavor (insert / handle update /
-  // handle-less update / handle erase / handle-less erase / batched handle
+  // handle-less update / handle erase / handle-less erase / a run of handle
   // repositions, with splits and merges throughout). Handle-less ops pass
   // a cleared hint, so they resolve by the carried key alone — the
   // pipeline's carry_handles = false layer. Invariants after every step:
@@ -653,7 +516,6 @@ TEST(RankedListHandleTest, ChurnPropertyEveryLiveHandleResolvesOrFallsBack) {
   };
 
   ElementId next_id = 0;
-  RankedList::BatchScratch scratch;
   for (int round = 0; round < 4000; ++round) {
     const double action = score_dist(rng);
     if (action < 0.35 || shadow.size() < 4) {
@@ -685,21 +547,20 @@ TEST(RankedListHandleTest, ChurnPropertyEveryLiveHandleResolvesOrFallsBack) {
       list.UpdateHandle({it->first, s.score, score, &cleared});
       s.score = score;
     } else if (action < 0.80) {
-      // Batched handle repositions over a random subset.
-      std::vector<RankedList::HandleUpdate> updates;
+      // A run of handle repositions over a random subset, as the
+      // maintainer applies one topic's run; 1 in 5 scores is a no-op.
       std::set<ElementId> used;
-      const std::size_t batch = 1 + rng() % 24;
-      for (std::size_t i = 0; i < batch && !shadow.empty(); ++i) {
+      const std::size_t run = 1 + rng() % 24;
+      for (std::size_t i = 0; i < run && !shadow.empty(); ++i) {
         auto it = pick(rng);
         if (!used.insert(it->first).second) continue;
         Shadow& s = it->second;
         const double score = rng() % 5 == 0 ? s.score : score_dist(rng);
         reference.erase(RankedList::Key{s.score, it->first});
         reference.insert(RankedList::Key{score, it->first});
-        updates.push_back({it->first, s.score, score, &s.handle});
+        list.UpdateHandle({it->first, s.score, score, &s.handle});
         s.score = score;
       }
-      list.ApplyBatchHandles(updates.data(), updates.size(), &scratch);
     } else if (action < 0.90) {
       auto it = pick(rng);
       list.EraseHandle(it->first, it->second.score, it->second.handle);
@@ -827,15 +688,6 @@ TEST(RankedListDeathTest, UpdateRejectsNaNScore) {
   RankedList list;
   RankedList::Handle handle = list.Insert(1, 0.5);
   EXPECT_DEATH(list.UpdateHandle({1, 0.5, nan, &handle}), "isnan");
-}
-
-TEST(RankedListDeathTest, ApplyBatchRejectsNaNScore) {
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  RankedList list;
-  RankedList::Handle handle = list.Insert(1, 0.5);
-  const RankedList::HandleUpdate update{1, 0.5, nan, &handle};
-  RankedList::BatchScratch scratch;
-  EXPECT_DEATH(list.ApplyBatchHandles(&update, 1, &scratch), "isnan");
 }
 
 // --------------------------------------------------- Refresh mode (paper) --

@@ -103,9 +103,7 @@ void RunEquivalenceStream(std::uint64_t seed, RefreshMode mode) {
 
   EngineConfig handle_config = base;
   handle_config.score_maintenance = ScoreMaintenance::kIncremental;
-  // Every reposition goes through the merge sweep, positions carried as
-  // handles...
-  handle_config.reposition_batch_min = 1;
+  // Positions carried as handles, every reposition one UpdateHandle...
   // ...vs. the staged parallel apply of the same pipeline...
   EngineConfig parallel_config = handle_config;
   parallel_config.maintenance_threads = 3;
@@ -510,7 +508,6 @@ TEST(ScoreCacheSlotTest, ExpiryClearsSlotAndResurrectionReseedsIt) {
     auto pool = workers > 0 ? MakeWorkerPool(1, 1, nullptr) : nullptr;
     IndexMaintainer maintainer(&ctx, &index, RefreshMode::kExact,
                                ScoreMaintenance::kIncremental,
-                               kDefaultRepositionBatchMin,
                                /*carry_handles=*/true, pool.get(), workers);
     auto advance = [&](Timestamp now, std::vector<SocialElement> bucket) {
       auto update = window.Advance(now, std::move(bucket));

@@ -417,6 +417,21 @@ TEST(EngineEpochTest, CreateValidatesConfig) {
   bad = PaperEngineConfig();
   bad.maintenance_threads = static_cast<std::size_t>(-1);
   EXPECT_FALSE(KsirEngine::Create(bad, &model).ok());
+  // NaN (and a non-finite eta) must come back as a Status, not die on
+  // ScoringContext's CHECK.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double eta : {nan, inf}) {
+    bad = PaperEngineConfig();
+    bad.scoring.eta = eta;
+    EXPECT_EQ(KsirEngine::Create(bad, &model).status().code(),
+              StatusCode::kInvalidArgument)
+        << "eta=" << eta;
+  }
+  bad = PaperEngineConfig();
+  bad.scoring.lambda = nan;
+  EXPECT_EQ(KsirEngine::Create(bad, &model).status().code(),
+            StatusCode::kInvalidArgument);
   EXPECT_FALSE(KsirEngine::Create(PaperEngineConfig(), nullptr).ok());
   auto engine = KsirEngine::Create(PaperEngineConfig(), &model);
   ASSERT_TRUE(engine.ok());
@@ -457,6 +472,21 @@ TEST(ServiceTest, CreateRejectsBadConfig) {
   config = PaperServiceConfig(2);
   config.engine.max_shard_imbalance = 0.5;  // must be 0 (off) or >= 1
   EXPECT_FALSE(KsirService::Create(config, &model).ok());
+  // NaN fields are rejected with a Status instead of reaching the
+  // ScoringContext and ResultCache CHECKs.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  config = PaperServiceConfig(2);
+  config.cache_quantum = nan;
+  EXPECT_EQ(KsirService::Create(config, &model).status().code(),
+            StatusCode::kInvalidArgument);
+  config = PaperServiceConfig(2);
+  config.engine.scoring.eta = nan;
+  EXPECT_EQ(KsirService::Create(config, &model).status().code(),
+            StatusCode::kInvalidArgument);
+  config = PaperServiceConfig(2);
+  config.engine.scoring.lambda = nan;
+  EXPECT_EQ(KsirService::Create(config, &model).status().code(),
+            StatusCode::kInvalidArgument);
   EXPECT_FALSE(KsirService::Create(PaperServiceConfig(2), nullptr).ok());
 }
 

@@ -492,7 +492,6 @@ TEST_P(SubscriptionDifferentialTest, EngineFlavorsExact) {
   base.archive_retention = 10;
   base.refresh_mode = RefreshMode::kExact;
   base.score_maintenance = ScoreMaintenance::kIncremental;
-  base.reposition_batch_min = 1;
   base.carry_handles = true;
   RunEngineDifferential(GetParam(), base, "handle/exact");
 
@@ -514,19 +513,13 @@ TEST_P(SubscriptionDifferentialTest, EngineFlavorsPaper) {
   base.archive_retention = 10;
   base.refresh_mode = RefreshMode::kPaper;
   base.score_maintenance = ScoreMaintenance::kIncremental;
-  base.reposition_batch_min = 1;
   base.carry_handles = true;
   RunEngineDifferential(GetParam(), base, "handle/paper");
 
-  // Merge sweeps off: every reposition is a per-element UpdateHandle.
-  EngineConfig single = base;
-  single.reposition_batch_min = 0;
-  RunEngineDifferential(GetParam(), single, "single/paper");
-
   // Handle reads off: every position resolves by its carried key.
-  EngineConfig batched = base;
-  batched.carry_handles = false;
-  RunEngineDifferential(GetParam(), batched, "batched/paper");
+  EngineConfig no_handles = base;
+  no_handles.carry_handles = false;
+  RunEngineDifferential(GetParam(), no_handles, "no_handles/paper");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SubscriptionDifferentialTest,
