@@ -10,6 +10,7 @@
 #include "core/candidate_state.h"
 #include "core/score_cache.h"
 #include "core/traversal.h"
+#include "window/active_window.h"
 
 namespace ksir {
 
@@ -28,6 +29,14 @@ struct BufferEntry {
   }
 };
 
+// Authoritative cached gain of a buffered element, with the window view
+// resolved when it was pulled (valid for the whole query: the window is
+// not modified while a query runs).
+struct Buffered {
+  double gain;
+  ActiveWindow::ActiveView view;
+};
+
 }  // namespace
 
 QueryResult RunMttd(const ScoringContext& ctx, const RankedListIndex& index,
@@ -44,7 +53,7 @@ QueryResult RunMttd(const ScoringContext& ctx, const RankedListIndex& index,
   // Buffer E': lazy max-heap plus the authoritative cached gains. Stale heap
   // entries (cached value changed or element added to S) are skipped on pop.
   std::priority_queue<BufferEntry> heap;
-  FlatHashMap<ElementId, double> cached;
+  FlatHashMap<ElementId, Buffered> cached;
 
   // Line 3: tau starts at the upper bound over all active elements.
   double tau = cursor.UpperBound();
@@ -65,37 +74,40 @@ QueryResult RunMttd(const ScoringContext& ctx, const RankedListIndex& index,
   const double lambda = ctx.params().lambda;
   const double influence_factor = ctx.influence_factor();
   std::vector<ElementId> pulled;
+  std::vector<ActiveWindow::ActiveView> views;
   GainTerms terms;
   while (tau >= tau_terminate && tau > 1e-12) {
     ++rounds;
     // Lines 13-19: retrieve every element whose score may reach tau — one
     // bulk cursor pull per round instead of a pop-and-recheck loop.
-    // Each singleton score delta(e, x) is read off the element's cached
-    // halves (one window probe, one short merge), not rescored.
+    // The whole round is resolved in one prefetched window batch; each
+    // singleton score delta(e, x) is then read off the element's cached
+    // halves (one short merge), not rescored.
     pulled.clear();
     cursor.PopWhileAtLeast(tau, &pulled);
-    for (const ElementId id : pulled) {
+    views.resize(pulled.size());
+    ctx.window().FindActiveBatch(pulled.data(), pulled.size(), views.data());
+    for (std::size_t i = 0; i < pulled.size(); ++i) {
       const double score = ScoreCache::SingletonScore(
-          ScoreCache::OfActive(ctx.window().FindActive(id)), query.x, lambda,
-          influence_factor);
+          ScoreCache::OfActive(views[i]), query.x, lambda, influence_factor);
       ++result.stats.num_evaluated;
-      cached.emplace(id, score);
-      heap.push(BufferEntry{score, id});
+      cached.emplace(pulled[i], Buffered{score, views[i]});
+      heap.push(BufferEntry{score, pulled[i]});
     }
 
     // Lines 6-10: add elements whose true marginal gain reaches tau.
     while (!heap.empty()) {
       const BufferEntry top = heap.top();
       const auto it = cached.find(top.id);
-      if (it == cached.end() || it->second != top.cached_gain) {
+      if (it == cached.end() || it->second.gain != top.cached_gain) {
         heap.pop();  // stale entry
         continue;
       }
       if (top.cached_gain < tau) break;  // no buffered element can qualify
       heap.pop();
-      const ActiveWindow::ActiveView view = ctx.window().FindActive(top.id);
-      KSIR_CHECK(view.element != nullptr);
-      // The gain check and the Add that may follow share one resolution.
+      // The gain check and the Add that may follow share one resolution,
+      // over the view OfActive checked when the element was pulled.
+      const ActiveWindow::ActiveView& view = it->second.view;
       terms.Resolve(ctx, query.x, *view.element, *view.referrers);
       const double gain = candidate.MarginalGain(terms);
       ++result.stats.num_gain_evaluations;
@@ -106,7 +118,7 @@ QueryResult RunMttd(const ScoringContext& ctx, const RankedListIndex& index,
           return finish(std::move(result));
         }
       } else {
-        it->second = gain;
+        it->second.gain = gain;
         heap.push(BufferEntry{gain, top.id});
       }
     }

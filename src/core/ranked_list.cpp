@@ -355,7 +355,8 @@ void RankedListIndex::EraseWithHints(ElementId id,
   membership_.erase(it);
 }
 
-void RankedListIndex::EraseMembership(ElementId id, const TopicId* topics,
+void RankedListIndex::EraseMembership(ElementId id,
+                                      [[maybe_unused]] const TopicId* topics,
                                       std::size_t n) {
   const auto it = membership_.find(id);
   KSIR_CHECK(it != membership_.end());

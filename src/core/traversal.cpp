@@ -72,12 +72,20 @@ std::optional<ElementId> RankedListCursor::PopNext() {
   // sits at (or below) it, no list has a selectable head.
   if (!(head_max_[argmax] > -1.0)) return std::nullopt;
   const ElementId id = lists_[argmax].head().id;
+  MarkPopped(id);
+  return id;
+}
+
+void RankedListCursor::MarkPopped(ElementId id) {
   visited_.insert(id);
   ++num_retrieved_;
   // Keep the invariant: every head position points at an unvisited tuple,
-  // so UpperBound() matches the paper's UB over unevaluated elements.
-  for (ListPos& pos : lists_) AdvanceHead(&pos);
-  return id;
+  // so UpperBound() matches the paper's UB over unevaluated elements. Only
+  // a head holding `id` itself just became visited (an element is listed
+  // at most once per list); every other head already satisfies it.
+  for (ListPos& pos : lists_) {
+    if (pos.has_head() && pos.head().id == id) AdvanceHead(&pos);
+  }
 }
 
 std::size_t RankedListCursor::PopWhileAtLeast(double min_value,
@@ -91,11 +99,9 @@ std::size_t RankedListCursor::PopWhileAtLeast(double min_value,
         head_ub_.data(), head_max_.data(), lists_.size(), &argmax);
     if (!(head_max_[argmax] > -1.0) || ub < min_value) break;
     const ElementId id = lists_[argmax].head().id;
-    visited_.insert(id);
-    ++num_retrieved_;
+    MarkPopped(id);
     out->push_back(id);
     ++popped;
-    for (ListPos& pos : lists_) AdvanceHead(&pos);
   }
   return popped;
 }

@@ -80,6 +80,10 @@ class RankedListCursor {
   /// reflect the new head value.
   void AdvanceHead(ListPos* pos);
 
+  /// Marks the head element `id` visited and re-advances exactly the lists
+  /// whose head it is.
+  void MarkPopped(ElementId id);
+
   std::vector<ListPos> lists_;
   /// Contiguous shadows of the per-list head values x_i * delta_i(head),
   /// kept in lockstep with lists_ by AdvanceHead so the per-pop scans run

@@ -194,6 +194,8 @@ StatusOr<QueryResult> QueryPlanner::Plan(const KsirQuery& query) const {
         answers[i].result.stats.num_retrieved;
     final_result.stats.num_gain_evaluations +=
         answers[i].result.stats.num_gain_evaluations;
+    final_result.stats.num_candidates_or_rounds +=
+        answers[i].result.stats.num_candidates_or_rounds;
   }
   final_result.stats.elapsed_ms = timer.ElapsedMillis();
   return final_result;

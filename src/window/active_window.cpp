@@ -286,11 +286,43 @@ const SocialElement* ActiveWindow::Find(ElementId id) const {
   return &it->second->element;
 }
 
+ActiveWindow::ActiveView ActiveWindow::ViewOf(const Entry* entry) {
+  if (entry == nullptr || !entry->active) return {};
+  return ActiveView{&entry->element, &entry->referrers, entry->user_data};
+}
+
 ActiveWindow::ActiveView ActiveWindow::FindActive(ElementId id) const {
   const auto it = entries_.find(id);
-  if (it == entries_.end() || !it->second->active) return {};
-  const Entry& entry = *it->second;
-  return ActiveView{&entry.element, &entry.referrers, entry.user_data};
+  return ViewOf(it == entries_.end() ? nullptr : it->second);
+}
+
+void ActiveWindow::FindActiveBatch(const ElementId* ids, std::size_t n,
+                                   ActiveView* out) const {
+  // Blocks bound the stack scratch and keep the prefetched lines resident
+  // until they are read.
+  constexpr std::size_t kBlock = 32;
+  const Entry* found[kBlock] = {};
+  for (std::size_t base = 0; base < n; base += kBlock) {
+    const std::size_t m = std::min(kBlock, n - base);
+    const ElementId* block = ids + base;
+    for (std::size_t i = 0; i < m; ++i) entries_.Prefetch(block[i]);
+    for (std::size_t i = 0; i < m; ++i) {
+      const auto it = entries_.find(block[i]);
+      found[i] = it == entries_.end() ? nullptr : it->second;
+      if (found[i] != nullptr) {
+        // The view reads `active` and `user_data`, which sit on
+        // different cache lines of the Entry.
+        __builtin_prefetch(&found[i]->active);
+        __builtin_prefetch(&found[i]->user_data);
+      }
+    }
+    for (std::size_t i = 0; i < m; ++i) {
+      out[base + i] = ViewOf(found[i]);
+      if (out[base + i].user_slot != nullptr) {
+        __builtin_prefetch(out[base + i].user_slot);
+      }
+    }
+  }
 }
 
 bool ActiveWindow::IsActive(ElementId id) const {

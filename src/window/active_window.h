@@ -141,6 +141,13 @@ class ActiveWindow {
   /// One-probe Find + ReferrersOf + the consumer slot.
   ActiveView FindActive(ElementId id) const;
 
+  /// out[i] = FindActive(ids[i]) for i < n, with the memory misses of the
+  /// batch overlapped: every home slot is prefetched before any is probed,
+  /// every Entry before any is read, and each view's consumer slot (the
+  /// score-cache row) is prefetched for the caller's next read.
+  void FindActiveBatch(const ElementId* ids, std::size_t n,
+                       ActiveView* out) const;
+
   /// True when the element belongs to A_t.
   bool IsActive(ElementId id) const;
 
@@ -194,18 +201,21 @@ class ActiveWindow {
     /// Lazily cleared via `stash_stamp`, and reported to the maintainer as
     /// the Touched spans — this is how edge deltas reach the score cache
     /// without a window probe per edge.
-    SmallVector<const SparseVector*, 4> gained_stash;
-    SmallVector<const SparseVector*, 4> lost_stash;
+    SmallVector<const SparseVector*, 4> gained_stash{};
+    SmallVector<const SparseVector*, 4> lost_stash{};
     std::uint64_t stash_stamp = 0;
     /// Entries of this element's non-dangling reference targets, resolved
     /// once at insertion. A live referral record keeps its target active
     /// (hence alive) until this element leaves the window — exactly when
     /// these pointers are consumed to drop the records, so the expiry
     /// phase performs zero target re-probes.
-    SmallVector<Entry*, 4> ref_targets;
+    SmallVector<Entry*, 4> ref_targets{};
     /// Consumer-owned slot surfaced through Touched::user_slot.
     void* user_data = nullptr;
   };
+
+  /// The ActiveView of an entry; empty when it is null or inactive.
+  static ActiveView ViewOf(const Entry* entry);
 
   /// Clears the entry's edge stash on its first touch this epoch.
   void TouchStash(Entry* entry);

@@ -623,6 +623,37 @@ TEST(FlatHashMapTest, WrappingRunsMatchUnorderedMap) {
   EXPECT_EQ(CountedValue::constructed, CountedValue::destroyed);
 }
 
+TEST(FlatHashMapTest, PrefetchChangesNoLookup) {
+  // Capacity 0: no table to touch, and the map stays empty.
+  FlatHashMap<std::int64_t, int> empty;
+  empty.Prefetch(7);
+  EXPECT_EQ(empty.capacity(), 0u);
+  EXPECT_FALSE(empty.contains(7));
+  EXPECT_EQ(empty.find(7), empty.end());
+
+  // After erases (backward shifts through wrapping runs): prefetching any
+  // key, present or not, leaves size, capacity and every lookup as is.
+  FlatHashMap<std::int64_t, int, WrapAroundHash> map;
+  for (std::int64_t key = 0; key < 40; ++key) map.emplace(key, 10 * key);
+  for (std::int64_t key = 0; key < 40; key += 3) map.erase(key);
+  const std::size_t size = map.size();
+  const std::size_t capacity = map.capacity();
+  for (std::int64_t key = -5; key < 45; ++key) map.Prefetch(key);
+  EXPECT_EQ(map.size(), size);
+  EXPECT_EQ(map.capacity(), capacity);
+  for (std::int64_t key = -5; key < 45; ++key) {
+    const bool present = key >= 0 && key < 40 && key % 3 != 0;
+    const auto it = map.find(key);
+    ASSERT_EQ(it != map.end(), present) << "key " << key;
+    if (present) {
+      EXPECT_EQ(it->second, 10 * key);
+    }
+  }
+  map.clear();
+  map.Prefetch(1);  // cleared but still allocated
+  EXPECT_FALSE(map.contains(1));
+}
+
 // ----------------------------------------------------------- SmallVector --
 
 TEST(SmallVectorTest, StaysInlineUpToN) {

@@ -2,14 +2,18 @@
 // (including the Figure 5 golden state) and the traversal cursor. The t_e
 // half of the paper's tuple lives once per element in RankedListIndex
 // (TimeOf); the lists themselves store only the ordering keys.
+#include <algorithm>
 #include <limits>
 #include <map>
+#include <optional>
 #include <random>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/kernels/kernels.h"
 #include "core/ranked_list.h"
 #include "core/score_cache.h"
 #include "core/traversal.h"
@@ -344,6 +348,192 @@ TEST(CursorEdgeTest, QueryTopicBeyondIndexIsIgnored) {
   RankedListCursor cursor(&index, &x);
   EXPECT_EQ(cursor.PopNext(), std::optional<ElementId>(1));
   EXPECT_TRUE(cursor.Exhausted());
+}
+
+// The cursor before heads were advanced selectively: after every pop it
+// re-advances EVERY list past visited tuples. The head values, the
+// tie-break (first list in query order) and the upper-bound sum are the
+// cursor's own, through the same kernel, so the pop sequences and bounds
+// must agree exactly.
+class ReadvanceAllCursor {
+ public:
+  ReadvanceAllCursor(const RankedListIndex& index, const SparseVector& x) {
+    for (const auto& [topic, weight] : x.entries()) {
+      if (weight <= 0.0) continue;
+      if (static_cast<std::size_t>(topic) >= index.num_topics()) continue;
+      Walk walk;
+      walk.weight = weight;
+      for (const RankedList::Key& key : index.list(topic)) {
+        walk.keys.push_back(key);
+      }
+      walks_.push_back(std::move(walk));
+    }
+    head_ub_.resize(walks_.size());
+    head_max_.resize(walks_.size());
+    AdvanceAll();
+  }
+
+  double UpperBound() const {
+    std::size_t argmax = 0;
+    return walks_.empty() ? 0.0
+                          : kernels::WeightedSumArgmax(
+                                head_ub_.data(), head_max_.data(),
+                                walks_.size(), &argmax);
+  }
+
+  std::optional<ElementId> PopNext() {
+    if (walks_.empty()) return std::nullopt;
+    std::size_t argmax = 0;
+    kernels::WeightedSumArgmax(head_ub_.data(), head_max_.data(),
+                               walks_.size(), &argmax);
+    if (!(head_max_[argmax] > -1.0)) return std::nullopt;
+    const ElementId id = walks_[argmax].keys[walks_[argmax].pos].id;
+    visited_.insert(id);
+    AdvanceAll();
+    return id;
+  }
+
+  std::vector<ElementId> PopWhileAtLeast(double min_value) {
+    std::vector<ElementId> out;
+    while (!walks_.empty() && UpperBound() >= min_value) {
+      const auto id = PopNext();
+      if (!id.has_value()) break;
+      out.push_back(*id);
+    }
+    return out;
+  }
+
+ private:
+  struct Walk {
+    double weight = 0.0;
+    std::vector<RankedList::Key> keys;
+    std::size_t pos = 0;
+  };
+
+  void AdvanceAll() {
+    for (std::size_t i = 0; i < walks_.size(); ++i) {
+      Walk& walk = walks_[i];
+      while (walk.pos < walk.keys.size() &&
+             visited_.contains(walk.keys[walk.pos].id)) {
+        ++walk.pos;
+      }
+      const bool has_head = walk.pos < walk.keys.size();
+      const double value =
+          has_head ? walk.weight * walk.keys[walk.pos].score : 0.0;
+      head_ub_[i] = value;
+      head_max_[i] = has_head ? value : -1.0;
+    }
+  }
+
+  std::vector<Walk> walks_;
+  std::vector<double> head_ub_;
+  std::vector<double> head_max_;
+  std::set<ElementId> visited_;
+};
+
+/// A random index over z <= 6 topics: elements listed in up to three
+/// topics, scores often drawn from a small grid (equal scores within and
+/// across lists), some lists left empty; and a query whose weights repeat,
+/// include zeros and may name a topic beyond the index.
+struct RandomCursorCase {
+  RankedListIndex index;
+  SparseVector x;
+};
+
+RandomCursorCase MakeRandomCursorCase(std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  const auto uniform = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  const std::size_t z = 1 + uniform(6);
+  // Elements use topics [0, used); topics [used, z) stay empty lists.
+  const std::size_t used = z == 1 ? 1 : z - uniform(2);
+  const bool grid = uniform(2) == 0;
+  RandomCursorCase c{RankedListIndex(z), SparseVector()};
+  const std::size_t n = uniform(160);
+  for (std::size_t e = 0; e < n; ++e) {
+    std::vector<std::pair<TopicId, double>> topic_scores;
+    const std::size_t span = 1 + uniform(std::min<std::size_t>(used, 3));
+    std::vector<TopicId> topics(used);
+    for (std::size_t t = 0; t < used; ++t) {
+      topics[t] = static_cast<TopicId>(t);
+    }
+    std::shuffle(topics.begin(), topics.end(), rng);
+    topics.resize(span);
+    std::sort(topics.begin(), topics.end());
+    for (const TopicId topic : topics) {
+      const double score = grid ? static_cast<double>(1 + uniform(5)) / 5.0
+                                : unit(rng);
+      topic_scores.emplace_back(topic, score);
+    }
+    c.index.Insert(static_cast<ElementId>(e), topic_scores,
+                    static_cast<Timestamp>(e));
+  }
+  std::vector<std::pair<TopicId, double>> weights;
+  for (std::size_t t = 0; t < z + 1; ++t) {
+    if (t == z && uniform(3) != 0) break;  // sometimes beyond the index
+    const std::size_t pick = uniform(4);
+    const double weight = pick == 0   ? 0.0
+                          : pick == 1 ? 0.5
+                          : pick == 2 ? 0.25
+                                      : unit(rng);
+    weights.emplace_back(static_cast<TopicId>(t), weight);
+  }
+  c.x = SparseVector::FromEntries(weights);
+  return c;
+}
+
+TEST(CursorDifferentialTest, PopsEqualReadvanceAllReference) {
+  std::size_t cases_with_pops = 0;
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const RandomCursorCase c = MakeRandomCursorCase(seed);
+
+    // PopNext, one element at a time.
+    RankedListCursor cursor(&c.index, &c.x);
+    ReadvanceAllCursor reference(c.index, c.x);
+    double previous_ub = std::numeric_limits<double>::infinity();
+    std::size_t pops = 0;
+    while (true) {
+      const double ub = cursor.UpperBound();
+      ASSERT_EQ(ub, reference.UpperBound()) << "pop " << pops;
+      ASSERT_LE(ub, previous_ub) << "pop " << pops;
+      previous_ub = ub;
+      const auto got = cursor.PopNext();
+      const auto want = reference.PopNext();
+      ASSERT_EQ(got, want) << "pop " << pops;
+      if (!got.has_value()) break;
+      ++pops;
+    }
+    EXPECT_TRUE(cursor.Exhausted());
+    EXPECT_EQ(cursor.UpperBound(), 0.0);
+    EXPECT_EQ(cursor.num_retrieved(), pops);
+    if (pops > 0) ++cases_with_pops;
+
+    // PopWhileAtLeast, in MTTD-style descending threshold rounds.
+    RankedListCursor bulk(&c.index, &c.x);
+    ReadvanceAllCursor bulk_reference(c.index, c.x);
+    double tau = bulk.UpperBound();
+    previous_ub = tau;
+    std::size_t bulk_pops = 0;
+    for (int round = 0; round < 64 && !bulk.Exhausted(); ++round) {
+      tau = round == 63 ? 0.0 : tau * 0.7;
+      std::vector<ElementId> got;
+      const std::size_t popped = bulk.PopWhileAtLeast(tau, &got);
+      ASSERT_EQ(popped, got.size());
+      ASSERT_EQ(got, bulk_reference.PopWhileAtLeast(tau)) << "round " << round;
+      const double ub = bulk.UpperBound();
+      ASSERT_EQ(ub, bulk_reference.UpperBound()) << "round " << round;
+      ASSERT_LE(ub, previous_ub) << "round " << round;
+      previous_ub = ub;
+      bulk_pops += popped;
+    }
+    EXPECT_EQ(bulk_pops, pops);
+    EXPECT_EQ(bulk.num_retrieved(), pops);
+  }
+  // The generator must actually exercise the cursor.
+  EXPECT_GT(cases_with_pops, 200u);
 }
 
 // ------------------------------------------- Chunked storage under churn --

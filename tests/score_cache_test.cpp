@@ -460,7 +460,9 @@ void RunSingletonDifferential(std::uint64_t seed, RefreshMode mode,
   // The stream is long enough for both events; otherwise the checks above
   // would pass vacuously.
   EXPECT_TRUE(saw_resurrection);
-  if (mode == RefreshMode::kPaper) EXPECT_TRUE(saw_stale);
+  if (mode == RefreshMode::kPaper) {
+    EXPECT_TRUE(saw_stale);
+  }
 }
 
 class SingletonDifferentialTest

@@ -718,6 +718,31 @@ TEST_F(PlannerPropertyTest, CacheHitEqualsCacheMissWithinEpoch) {
   EXPECT_DOUBLE_EQ(hit->score, miss->score);
 }
 
+TEST_F(PlannerPropertyTest, PlanSumsShardRoundsAndCandidates) {
+  // MTTD's threshold rounds and MTTS's candidate counts are summed over the
+  // shards like the other work counters, not dropped by the merge.
+  for (const Algorithm algorithm : {Algorithm::kMttd, Algorithm::kMtts}) {
+    KsirQuery query;
+    query.k = kK;
+    query.x = QueryPool(4)[3];
+    query.algorithm = algorithm;
+    const auto planned = service_->Query(query);  // first ask: a cache miss
+    ASSERT_TRUE(planned.ok());
+
+    std::size_t shard_sum = 0;
+    for (std::size_t s = 0; s < service_->num_shards(); ++s) {
+      ASSERT_GT(service_->shard(s).window().num_active(), 0u) << "shard " << s;
+      const auto shard_result = service_->shard(s).Query(query);
+      ASSERT_TRUE(shard_result.ok());
+      EXPECT_GE(shard_result->stats.num_candidates_or_rounds, 1u)
+          << "shard " << s;
+      shard_sum += shard_result->stats.num_candidates_or_rounds;
+    }
+    EXPECT_GE(planned->stats.num_candidates_or_rounds, 1u);
+    EXPECT_EQ(planned->stats.num_candidates_or_rounds, shard_sum);
+  }
+}
+
 TEST_F(PlannerPropertyTest, AdvanceInvalidatesCachedResults) {
   KsirQuery query;
   query.k = kK;

@@ -134,6 +134,51 @@ TEST(ActiveWindowTest, ResurrectedElementCanDeactivateAgain) {
   EXPECT_TRUE(window.IsArchived(1));
 }
 
+void ExpectSameView(const ActiveWindow::ActiveView& a,
+                    const ActiveWindow::ActiveView& b, ElementId id) {
+  EXPECT_EQ(a.element, b.element) << "id " << id;
+  EXPECT_EQ(a.referrers, b.referrers) << "id " << id;
+  EXPECT_EQ(a.user_slot, b.user_slot) << "id " << id;
+}
+
+TEST(ActiveWindowTest, FindActiveBatchEqualsPerIdFindActive) {
+  ActiveWindow window(4, /*archive_retention=*/3);
+  ASSERT_TRUE(window.Advance(1, {El(1, 1), El(2, 1)}).ok());
+  ASSERT_TRUE(window.Advance(5, {El(3, 5)}).ok());  // e1, e2 archived at 5
+  // e4 resurrects e2; then e1 is garbage-collected (5 + 3 <= 8).
+  ASSERT_TRUE(window.Advance(8, {El(4, 8, {2})}).ok());
+  // e3 (ts 5) leaves W_9 unreferenced and is archived. The consumer slot of
+  // the new e5 must come through the batch too.
+  int row = 0;
+  auto update = window.Advance(9, {El(5, 9, {4})});
+  ASSERT_TRUE(update.ok());
+  ASSERT_EQ(update->inserted.size(), 1u);
+  *update->inserted[0].user_slot = &row;
+  ASSERT_FALSE(window.IsArchived(1));
+  ASSERT_TRUE(window.IsActive(2) && !window.IsInWindow(2));
+  ASSERT_TRUE(window.IsArchived(3));
+  ASSERT_EQ(window.FindActive(5).user_slot, &row);
+  ASSERT_NE(window.FindActive(2).element, nullptr);
+  ASSERT_EQ(window.FindActive(3).element, nullptr);  // archived: no view
+
+  // Active (with a slot, in window, resurrected and referenced only),
+  // archived, garbage-collected, unknown, and repeated ids.
+  std::vector<ElementId> ids = {5, 4, 2, 3, 1, 99, -1, 5, 2, 3, 1};
+  // Past one internal block, so block boundaries are covered as well.
+  for (ElementId id = 100; id < 140; ++id) ids.push_back(id % 3 == 0 ? 4 : id);
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{11},
+                              ids.size()}) {
+    std::vector<ActiveWindow::ActiveView> out(n + 1);
+    const ActiveWindow::ActiveView sentinel{nullptr, nullptr, &row};
+    out[n] = sentinel;
+    window.FindActiveBatch(ids.data(), n, out.data());
+    for (std::size_t i = 0; i < n; ++i) {
+      ExpectSameView(out[i], window.FindActive(ids[i]), ids[i]);
+    }
+    ExpectSameView(out[n], sentinel, -2);  // nothing written past n
+  }
+}
+
 TEST(ActiveWindowTest, ReReferenceKeepsElementAlive) {
   ActiveWindow window(4);
   ASSERT_TRUE(window.Advance(1, {El(1, 1)}).ok());
