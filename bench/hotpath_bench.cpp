@@ -1,10 +1,11 @@
-// Ingestion/query hot-path benchmark: parallel staged maintenance (4
-// workers) vs. the serial maintenance pipeline vs. the same pipeline fed by
-// the from-scratch score source, on a reposition-heavy stream — plus a
-// maintenance-thread sweep (1/2/4/8 workers) and sharded-ingestion
-// scenarios with the balance-aware routing cap off and on. The JSON records
-// available_cores: the parallel path is bitwise-identical to the serial
-// one by contract, so on a single-core container it can only show its
+// Ingestion/query hot-path benchmark: the staged maintenance apply with 4
+// participants vs. the same apply with one participant (the production
+// default) vs. the same pipeline fed by the from-scratch score source, on
+// a reposition-heavy stream — plus a maintenance-thread sweep (1/2/4/8
+// participants) and sharded-ingestion scenarios with the balance-aware
+// routing cap off and on. The JSON records available_cores: the apply is
+// bitwise-identical at every participant count by contract, so on a
+// single-core container the 4-participant engine can only show its
 // overhead — wall-clock speedup needs cores.
 //
 // The workload is deliberately hub-heavy (high mean out-references, strong
@@ -219,12 +220,12 @@ int Run(const char* out_path) {
   dataset.eta = CalibrateEta(dataset.stream);
 
   EngineConfig base = MakeConfig(dataset, /*window_length=*/48 * 3600);
-  // The serial production default: positions carried as handles through
-  // window -> cache -> lists, every reposition one UpdateHandle.
+  // The production default, one participant: positions carried as handles
+  // through window -> cache -> lists, every reposition one UpdateHandle.
   EngineConfig handle_config = base;
   handle_config.score_maintenance = ScoreMaintenance::kIncremental;
   handle_config.carry_handles = true;
-  // The staged parallel apply over the same pipeline, 4 participants
+  // The same staged apply fanned out over 4 participants
   // (bitwise-identical results by contract).
   constexpr std::size_t kParallelWorkers = 4;
   EngineConfig parallel_config = handle_config;
@@ -246,9 +247,10 @@ int Run(const char* out_path) {
   // bench machine drifts by tens of percent within one process, far above
   // the effects measured here, and best-of-2 over interleaved passes
   // cancels most of it. Within a pass the parallel engine is measured
-  // BEFORE the serial handle engine: residual drift favors later feeds, so
-  // the ordering can only understate the parallel speedup. The last pass's
-  // engines are kept for the query workload and the equivalence checks.
+  // BEFORE the one-participant handle engine: residual drift favors later
+  // feeds, so the ordering can only understate the parallel speedup. The
+  // last pass's engines are kept for the query workload and the
+  // equivalence checks.
   BucketStats recompute_feed;
   BucketStats parallel_feed;
   BucketStats handle_feed;
@@ -280,7 +282,7 @@ int Run(const char* out_path) {
   }
 
   // Maintenance-thread sweep: fresh engines, same stream, varying the
-  // staged apply's participant count (1 = the serial reference path).
+  // staged apply's participant count (1 = the production default).
   // Scaling needs cores — see available_cores in the JSON; the 1-vs-4 row
   // pair feeds check_bench_regression's --require-scaling floor, and the
   // 8-thread row shows where the per-bucket work runs out of shards.
@@ -300,7 +302,7 @@ int Run(const char* out_path) {
     thread_sweep.push_back({threads, feed.total_ms, feed.p50_ms});
   }
 
-  // Telemetry-overhead measurement: the serial handle engine with
+  // Telemetry-overhead measurement: the one-participant handle engine with
   // telemetry off (the default) vs. kCounters (stage timers + histograms
   // live), FOUR interleaved best-of passes — the claimed bound is <= 2%
   // p50 overhead, well under single-pass drift on a shared machine
@@ -639,7 +641,7 @@ int Run(const char* out_path) {
   std::fprintf(out, "{\n");
   std::fprintf(out, "  \"bench\": \"hotpath\",\n");
   std::fprintf(out, "  \"scale\": \"%s\",\n", scale_name);
-  // The parallel path is bitwise-identical to the serial one; wall-clock
+  // The apply is bitwise-identical at every participant count; wall-clock
   // scaling needs cores, so record what this run actually had.
   std::fprintf(out, "  \"available_cores\": %u,\n", available_cores);
   std::fprintf(out,

@@ -287,11 +287,13 @@ std::vector<ElementSnapshot> KsirEngine::ExportSnapshots(
   std::vector<ElementSnapshot> snapshots;
   snapshots.reserve(ids.size());
   for (const ElementId id : ids) {
-    const SocialElement* element = window_.Find(id);
-    if (element == nullptr) continue;
+    // One probe resolves the candidate and its referrer list.
+    const ActiveWindow::ActiveView view = window_.FindActive(id);
+    if (view.element == nullptr) continue;
     ElementSnapshot snapshot;
-    snapshot.element = *element;
-    for (const Referrer& referrer : window_.ReferrersOf(id)) {
+    snapshot.element = *view.element;
+    snapshot.referrers.reserve(view.referrers->size());
+    for (const Referrer& referrer : *view.referrers) {
       const SocialElement* r = window_.Find(referrer.id);
       if (r != nullptr) snapshot.referrers.push_back(*r);
     }

@@ -50,14 +50,14 @@ struct EngineConfig {
   /// the handle layer off: every list position resolves by its carried
   /// listed key, the fallback a stale handle takes anyway.
   bool carry_handles = true;
-  /// Participants in the staged parallel bucket maintenance (the
-  /// element-sharded scoring/folding stage and the topic-sharded list
-  /// stages; see IndexMaintainer). 0/1 = the serial apply. The advancing
-  /// thread is one participant — the engine spawns (or shares; see
-  /// KsirEngine's pool parameter and ServiceConfig) a runtime WorkerPool
-  /// for the remaining maintenance_threads - 1. Determinism contract: the
-  /// parallel apply is bitwise-identical to the serial one, so this knob
-  /// trades threads for latency only.
+  /// Participants in the staged bucket apply (the element-sharded
+  /// scoring/folding stage and the topic-sharded expiry, gather and list
+  /// stages; see IndexMaintainer). The advancing thread is one participant;
+  /// 0/1 = it runs every stage alone, with no pool. From 2 on the engine
+  /// spawns (or shares; see KsirEngine's pool parameter and ServiceConfig)
+  /// a runtime WorkerPool for the remaining maintenance_threads - 1.
+  /// Determinism contract: the apply is bitwise-identical at every
+  /// participant count, so this knob trades threads for latency only.
   std::size_t maintenance_threads = 0;
   /// Balance cap of the service's chain-affinity shard router: routing an
   /// element onto a shard whose RECENT load (placements within the
@@ -114,7 +114,7 @@ Status ValidateBucket(const std::vector<SocialElement>& bucket,
 /// epsilon-parameterized algorithms.
 Status ValidateQuery(const KsirQuery& query);
 
-/// True when `config` runs bucket maintenance on the staged parallel path
+/// True when `config` fans the staged bucket apply out over a pool
 /// (maintenance_threads >= 2).
 bool UsesParallelMaintenance(const EngineConfig& config);
 

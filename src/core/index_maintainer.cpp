@@ -32,8 +32,8 @@ IndexMaintainer::IndexMaintainer(const ScoringContext* ctx,
       "Bucket-apply stage: expiry erases");
   stage_insert_hist_ = reg.GetHistogram(
       "ksir_maintainer_stage_insert_seconds",
-      "Bucket-apply stage: fresh-element inserts (serial) or cache-row, "
-      "membership and arena layout (staged)");
+      "Bucket-apply stage: cache-row, membership and arena layout of the "
+      "bucket's touched elements");
   stage_score_hist_ = reg.GetHistogram(
       "ksir_maintainer_stage_score_seconds",
       "Bucket-apply stage: fresh scoring, edge folding, score composition");
@@ -61,57 +61,22 @@ IndexMaintainer::IndexMaintainer(const ScoringContext* ctx,
       "ksir_maintainer_elisions_total",
       "Reposition tuples elided because the composed score equals the "
       "listed score");
-  topic_counts_.resize(index->num_topics(), 0);
-  summary_movement_.resize(index->num_topics(), 0.0);
-  summary_seen_.resize(index->num_topics(), 0);
-  edge_acc_.Resize(index->num_topics());
-  // The per-topic runs carry every position and listed key, so the topic
-  // stages need no shared lookups at all.
-  parallel_ = pool != nullptr && parallel_workers >= 2;
-  if (parallel_) {
+  const std::size_t num_topics = index->num_topics();
+  topic_counts_.resize(num_topics, 0);
+  insert_counts_.resize(num_topics, 0);
+  summary_movement_.resize(num_topics, 0.0);
+  summary_seen_.resize(num_topics, 0);
+  erase_seen_.resize(num_topics, 0);
+  topic_shard_.resize(num_topics, 0);
+  // The per-topic runs carry every position and listed key, so the
+  // sharded stages need no shared lookups at all. One participant (no pool,
+  // or fewer than two workers) runs every stage inline on the caller.
+  if (pool != nullptr && parallel_workers >= 2) {
     pool_ = pool;
     workers_ = parallel_workers;
-    insert_counts_.resize(index->num_topics(), 0);
-    erase_seen_.resize(index->num_topics(), 0);
-    topic_shard_.resize(index->num_topics(), 0);
-    worker_acc_.resize(workers_);
-    for (StampedAccumulator& acc : worker_acc_) {
-      acc.Resize(index->num_topics());
-    }
   }
-}
-
-void IndexMaintainer::Apply(const ActiveWindow::UpdateResult& update) {
-  // One bucket apply is one trace unit: every sample_period-th bucket gets
-  // its stage spans recorded.
-  telemetry_->tracer().SampleUnit();
-  bucket_repositions_ = 0;
-  bucket_elisions_ = 0;
-  {
-    StageScope scope(telemetry_, bucket_apply_hist_, "maint.bucket_apply");
-    if (parallel_) {
-      ApplyParallel(update);
-    } else {
-      ApplySerial(update);
-    }
-  }
-  MaterializeSummary();
-  // Counter flush: the hot loops above accumulate into plain members; one
-  // sharded fetch_add per series per bucket lands them in the registry.
-  if (!update.expired.empty()) {
-    expired_counter_->Add(static_cast<std::int64_t>(update.expired.size()));
-  }
-  const std::size_t fresh = update.inserted.size() + update.resurrected.size();
-  if (fresh > 0) fresh_counter_->Add(static_cast<std::int64_t>(fresh));
-  const std::size_t touched =
-      update.gained_referrer.size() + update.lost_referrer.size();
-  if (touched > 0) touched_counter_->Add(static_cast<std::int64_t>(touched));
-  if (bucket_repositions_ > 0) {
-    repositions_counter_->Add(static_cast<std::int64_t>(bucket_repositions_));
-  }
-  if (bucket_elisions_ > 0) {
-    elisions_counter_->Add(static_cast<std::int64_t>(bucket_elisions_));
-  }
+  worker_acc_.resize(workers_);
+  for (StampedAccumulator& acc : worker_acc_) acc.Resize(num_topics);
 }
 
 double IndexMaintainer::SourceScore(
@@ -140,18 +105,6 @@ void IndexMaintainer::TouchSummary(TopicId topic, double movement) {
   if (movement > summary_movement_[slot]) summary_movement_[slot] = movement;
 }
 
-void IndexMaintainer::TouchElidedLoss(const ScoreCache::TopicList& halves,
-                                      const StampedAccumulator& acc) {
-  const double factor = ctx_->influence_factor();
-  for (const ScoreCache::TopicHalves& half : halves) {
-    const auto slot = static_cast<std::size_t>(half.topic);
-    if (acc.Touched(slot)) {
-      TouchSummary(half.topic,
-                   std::abs(factor * half.topic_prob * acc.Get(slot)));
-    }
-  }
-}
-
 void IndexMaintainer::MaterializeSummary() {
   summary_.topics.clear();
   std::sort(summary_topics_.begin(), summary_topics_.end());
@@ -164,123 +117,6 @@ void IndexMaintainer::MaterializeSummary() {
     summary_seen_[slot] = 0;
   }
   summary_topics_.clear();
-}
-
-void IndexMaintainer::EraseExpired(const ActiveWindow::Touched& t) {
-  // Expired ids are no longer in the window store. The cache entry
-  // (reached through the carried user slot) already knows every list
-  // position and listed key of the dying element, so the erases resolve
-  // through the carried hints. Every indexed element owns a cache entry for
-  // its whole lifetime, so a missing entry here is a pipeline bug, not a
-  // recoverable state.
-  ScoreCache::TopicList* halves = ScoreCache::FromSlot(*t.user_slot);
-  KSIR_CHECK(halves != nullptr);
-  KSIR_DCHECK(halves == cache_.Find(t.id));
-  hint_scratch_.clear();
-  for (ScoreCache::TopicHalves& half : *halves) {
-    hint_scratch_.push_back(
-        RankedList::ErasureHint{half.topic, half.listed, *HintOf(&half)});
-    TouchSummary(half.topic, std::abs(half.listed));
-  }
-  index_->EraseWithHints(t.id, hint_scratch_.data(), hint_scratch_.size());
-  cache_.Erase(t.id);
-  // The archived window entry outlives the pool row; a stray read of its
-  // slot must hit the query path's null check, not freed memory.
-  *t.user_slot = nullptr;
-}
-
-void IndexMaintainer::ApplySerial(const ActiveWindow::UpdateResult& update) {
-  {
-    StageScope scope(telemetry_, stage_expiry_hist_, "maint.expiry");
-    for (const ActiveWindow::Touched& t : update.expired) EraseExpired(t);
-  }
-  {
-    // Inserted and resurrected elements get the one full scan of their
-    // lifetime; the window's referrer sets already reflect this bucket, so
-    // their edge spans are empty by contract.
-    StageScope scope(telemetry_, stage_insert_hist_, "maint.insert");
-    for (const ActiveWindow::Touched& t : update.inserted) InsertFresh(t);
-    for (const ActiveWindow::Touched& t : update.resurrected) InsertFresh(t);
-  }
-  {
-    StageScope scope(telemetry_, stage_score_hist_, "maint.score");
-    // Each touched element applies its own carried edge spans right before
-    // it is queued — the cached influence halves stay exact in *both*
-    // refresh modes (under kPaper the lists may stay stale-high, but the
-    // cache always holds the true I_{i,t}(e), so the next reposition lands
-    // exactly where a full recompute would). Within one element the gained
-    // terms are applied before the lost terms, and elements do not
-    // interact, so the composed doubles are bitwise identical to the
-    // staged parallel apply's.
-    for (const ActiveWindow::Touched& t : update.gained_referrer) {
-      ProcessTouched(t, /*reposition=*/true, /*te_changed=*/true);
-    }
-    // A lost referral never moves t_e (it is a running max). Under kExact
-    // the element is repositioned (topics the expired referrer did not
-    // share are elided); under kPaper only the cache absorbs the loss.
-    const bool reposition_losses = mode_ == RefreshMode::kExact;
-    for (const ActiveWindow::Touched& t : update.lost_referrer) {
-      ProcessTouched(t, reposition_losses, /*te_changed=*/false);
-    }
-  }
-  // FlushRepositions times its own gather and list-apply stages (the
-  // serial path's run gather was invisible in the stage breakdown when the
-  // whole flush was lumped under list_apply).
-  FlushRepositions();
-}
-
-void IndexMaintainer::InsertFresh(const ActiveWindow::Touched& t) {
-  ScoreCache::TopicList& halves = cache_.Insert(*t.element);
-  ScoreFresh(*t.element, &halves);
-  *t.user_slot = &halves;  // carried to every later touch
-  topic_id_scratch_.clear();
-  for (const ScoreCache::TopicHalves& half : halves) {
-    topic_id_scratch_.push_back(half.topic);
-  }
-  index_->InsertMembership(t.id, topic_id_scratch_.data(),
-                           topic_id_scratch_.size(), t.te);
-  for (ScoreCache::TopicHalves& half : halves) {
-    half.handle = index_->InsertListEntry(half.topic, t.id, half.listed);
-    TouchSummary(half.topic, std::abs(half.listed));
-  }
-}
-
-void IndexMaintainer::ProcessTouched(const ActiveWindow::Touched& t,
-                                     bool reposition, bool te_changed) {
-  // Everything this element's bucket work needs — edge topic vectors, t_e,
-  // and (through the carried user slot) the cache entry with its listed
-  // scores and list positions — arrived in the Touched record.
-  ScoreCache::TopicList& halves = *ScoreCache::FromSlot(*t.user_slot);
-  KSIR_DCHECK(&halves == cache_.Find(t.id));
-  if (t.num_gained + t.num_lost > 0) FoldEdges(t, &halves, &edge_acc_);
-  if (!reposition) {
-    // kPaper referrer loss: the lists keep the stale-high tuples, but the
-    // true scores moved wherever the lost referrers' supports overlapped
-    // this element's — surface those topics so indexed subscription
-    // activation stays exact against the naive baseline.
-    if (t.num_gained + t.num_lost > 0) TouchElidedLoss(halves, edge_acc_);
-    return;
-  }
-  // t_e is per element, written once; the per-topic runs carry only score
-  // changes, so a gained referrer sharing none of a topic's support leaves
-  // that topic's list untouched.
-  if (te_changed) index_->TouchTime(t.id, t.te);
-  for (ScoreCache::TopicHalves& half : halves) {
-    const double score = SourceScore(*t.element, half);
-    // Queue only tuples whose KEY moves.
-    if (score == half.listed) {
-      ++bucket_elisions_;
-      continue;
-    }
-    pending_handles_.push_back(
-        {half.topic,
-         RankedList::HandleUpdate{t.id, half.listed, score, HintOf(&half)}});
-    TouchSummary(half.topic, std::abs(score - half.listed));
-    ++bucket_repositions_;
-    half.listed = score;
-    const auto topic = static_cast<std::size_t>(half.topic);
-    if (topic_counts_[topic]++ == 0) touched_.push_back(half.topic);
-  }
 }
 
 void IndexMaintainer::FoldEdges(const ActiveWindow::Touched& t,
@@ -311,63 +147,24 @@ void IndexMaintainer::FoldEdges(const ActiveWindow::Touched& t,
   }
 }
 
-void IndexMaintainer::FlushRepositions() {
-  // Scatter the queued (topic, update) pairs into contiguous per-topic
-  // runs. Processing list by list (instead of element by element across
-  // all of its lists) keeps each chunk directory hot. Topic order is
-  // sorted only for determinism of the arena layout; the runs are
-  // independent. No early-out on an empty queue: both stage scopes record
-  // on every bucket, keeping the per-bucket histogram counts exact.
-  RankedList::HandleUpdate* runs = nullptr;
-  std::uint32_t* offsets = nullptr;
-  {
-    // Stage accounting mirrors the parallel apply: the sort + run scatter
-    // is the gather stage, the per-list runs below are list_apply.
-    StageScope scope(telemetry_, stage_gather_hist_, "maint.gather");
-    run_arena_.Reset();
-    runs = run_arena_.AllocateArray<RankedList::HandleUpdate>(
-        pending_handles_.size());
-    std::sort(touched_.begin(), touched_.end());
-    // offsets[t] = start of topic t's run; reuses topic_counts_ as cursor.
-    offsets = run_arena_.AllocateArray<std::uint32_t>(touched_.size());
-    std::uint32_t offset = 0;
-    for (std::size_t i = 0; i < touched_.size(); ++i) {
-      offsets[i] = offset;
-      const auto t = static_cast<std::size_t>(touched_[i]);
-      const std::uint32_t count = topic_counts_[t];
-      // Repurpose topic_counts_ as the scatter cursor (start index).
-      topic_counts_[t] = offset;
-      offset += count;
-    }
-    for (const PendingHandle& item : pending_handles_) {
-      runs[topic_counts_[static_cast<std::size_t>(item.topic)]++] =
-          item.payload;
-    }
-  }
-  StageScope scope(telemetry_, stage_list_apply_hist_, "maint.list_apply");
-  for (std::size_t i = 0; i < touched_.size(); ++i) {
-    const TopicId topic = touched_[i];
-    const std::uint32_t begin = offsets[i];
-    const std::uint32_t end = topic_counts_[static_cast<std::size_t>(topic)];
-    index_->RepositionHandles(topic, runs + begin, end - begin);
-    topic_counts_[static_cast<std::size_t>(topic)] = 0;
-  }
-  touched_.clear();
-  pending_handles_.clear();
-}
-
-void IndexMaintainer::ProcessTouchedParallel(TouchedItem* item,
-                                             StampedAccumulator* acc) {
-  // The element stage's kernel: identical arithmetic, in identical
-  // per-element operand order, to the serial ProcessTouched — the changed
-  // tuples just land in the item's private buffer instead of the shared
-  // queue (the gather re-serializes them in queue order).
+void IndexMaintainer::ProcessTouched(TouchedItem* item,
+                                     StampedAccumulator* acc) {
+  // Everything this element's bucket work needs — edge topic vectors, t_e,
+  // and (through the carried user slot) the cache entry with its listed
+  // scores and list positions — arrived in the Touched record. The edge
+  // spans are folded right before the scores are composed, so the cached
+  // influence halves stay exact in *both* refresh modes (under kPaper the
+  // lists may stay stale-high, but the cache always holds the true
+  // I_{i,t}(e), so the next reposition lands exactly where a full
+  // recompute would). Elements do not interact, so the composed doubles do
+  // not depend on which participant claims the item.
   const ActiveWindow::Touched& t = *item->touched;
   ScoreCache::TopicList& halves = *item->halves;
   if (t.num_gained + t.num_lost > 0) FoldEdges(t, &halves, acc);
   if (!item->reposition) {
     // kPaper referrer loss: no list writes, but the true scores moved
-    // wherever the lost referrers' supports overlapped. The summary
+    // wherever the lost referrers' supports overlapped this element's, and
+    // subscriptions keyed on those topics must see the touch. The summary
     // touches are parked in the item's update buffer (topic + movement in
     // `score`; no handle) for the serial gather to fold — TouchSummary
     // state is single-threaded.
@@ -389,6 +186,8 @@ void IndexMaintainer::ProcessTouchedParallel(TouchedItem* item,
     item->num_updates = n;
     return;
   }
+  // The per-topic runs carry only score changes: a gained referrer sharing
+  // none of a topic's support leaves that topic's list untouched.
   std::uint32_t n = 0;
   for (ScoreCache::TopicHalves& half : halves) {
     const double score = SourceScore(*t.element, half);
@@ -401,276 +200,318 @@ void IndexMaintainer::ProcessTouchedParallel(TouchedItem* item,
   item->num_updates = n;
 }
 
-void IndexMaintainer::ApplyParallel(const ActiveWindow::UpdateResult& update) {
-  PendingInsert* insert_runs = nullptr;
-  RankedList::HandleUpdate* update_runs = nullptr;
-  std::uint32_t* insert_off = nullptr;
-  std::uint32_t* update_off = nullptr;
+void IndexMaintainer::Apply(const ActiveWindow::UpdateResult& update) {
+  // One bucket apply is one trace unit: every sample_period-th bucket gets
+  // its stage spans recorded.
+  telemetry_->tracer().SampleUnit();
+  bucket_repositions_ = 0;
+  bucket_elisions_ = 0;
   {
-    StageScope scope(telemetry_, stage_expiry_hist_, "maint.expiry");
-    // Stage 1: topic-sharded expiry. A serial prologue walks the expired
-    // elements in order — summary touches, membership and cache erases are
-    // single-threaded state — copying each carried hint OUT of the dying
-    // cache entry (cache_.Erase frees the pool row the halves live in).
-    // The per-list erases then fan out, each touched topic owned by one
-    // shard; a shard replays its lists' erases in element order, so every
-    // list sees exactly the serial erase sequence.
-    erase_items_.clear();
-    erase_topics_.clear();
-    for (const ActiveWindow::Touched& t : update.expired) {
-      ScoreCache::TopicList* halves = ScoreCache::FromSlot(*t.user_slot);
-      KSIR_CHECK(halves != nullptr);
-      KSIR_DCHECK(halves == cache_.Find(t.id));
-      topic_id_scratch_.clear();
-      for (ScoreCache::TopicHalves& half : *halves) {
-        TouchSummary(half.topic, std::abs(half.listed));
-        erase_items_.push_back(
-            PendingErase{half.topic, t.id, half.listed, *HintOf(&half)});
-        topic_id_scratch_.push_back(half.topic);
-        const auto slot = static_cast<std::size_t>(half.topic);
-        if (erase_seen_[slot] == 0) {
-          erase_seen_[slot] = 1;
-          erase_topics_.push_back(half.topic);
-        }
-      }
-      index_->EraseMembership(t.id, topic_id_scratch_.data(),
-                              topic_id_scratch_.size());
-      cache_.Erase(t.id);
-      *t.user_slot = nullptr;  // as in EraseExpired
-    }
-    if (!erase_topics_.empty()) {
-      // Canonical topic order keeps the topic -> shard assignment (and so
-      // the worker each list lands on) stable across buckets and runs.
-      std::sort(erase_topics_.begin(), erase_topics_.end());
-      const std::size_t shards = std::min(workers_, erase_topics_.size());
-      for (std::size_t i = 0; i < erase_topics_.size(); ++i) {
-        const auto slot = static_cast<std::size_t>(erase_topics_[i]);
-        erase_seen_[slot] = 0;  // restored for the next bucket
-        topic_shard_[slot] = static_cast<std::uint32_t>(i % shards);
-      }
-      ParallelRunAffine(
-          pool_, shards, shards, [&](std::size_t, std::size_t shard) {
-            // Each shard scans the full item sequence and executes only its
-            // topics' erases: per-list element order is preserved by
-            // construction, and the shards-many passes over the packed item
-            // vector are cheap next to the chunk memmoves they feed.
-            for (const PendingErase& e : erase_items_) {
-              if (topic_shard_[static_cast<std::size_t>(e.topic)] != shard) {
-                continue;
-              }
-              index_->EraseListEntry(e.topic, e.id, e.score, e.handle);
-            }
-          });
-    }
-  }
-  {
-    StageScope scope(telemetry_, stage_insert_hist_, "maint.insert");
-    // Stage 2 (serial): lay out the bucket's work. Fresh elements get
-    // their cache entry rows and membership record (hash maps and pools
-    // are single-threaded state); gained/lost elements get an arena buffer
-    // sized for their full support. No scores are computed yet.
-    run_arena_.Reset();
-    fresh_items_.clear();
-    touched_items_.clear();
-    for (const std::vector<ActiveWindow::Touched>* list :
-         {&update.inserted, &update.resurrected}) {
-      for (const ActiveWindow::Touched& t : *list) {
-        ScoreCache::TopicList& halves = cache_.AllocateEntry(*t.element);
-        *t.user_slot = &halves;  // carried to every later touch
+    StageScope bucket_scope(telemetry_, bucket_apply_hist_,
+                            "maint.bucket_apply");
+    {
+      StageScope scope(telemetry_, stage_expiry_hist_, "maint.expiry");
+      // Stage 1: topic-sharded expiry. Expired ids are no longer in the
+      // window store, but the cache entry (reached through the carried
+      // user slot) knows every list position and listed key of the dying
+      // element. A serial prologue walks the expired elements in order —
+      // summary touches, membership and cache erases are single-threaded
+      // state — copying each carried hint OUT of the dying cache entry
+      // (cache_.Erase frees the pool row the halves live in). The per-list
+      // erases then fan out, each touched topic owned by one shard; a
+      // shard replays its lists' erases in element order.
+      erase_items_.clear();
+      erase_topics_.clear();
+      for (const ActiveWindow::Touched& t : update.expired) {
+        // Every indexed element owns a cache entry for its whole lifetime,
+        // so a missing entry here is a pipeline bug, not a recoverable
+        // state.
+        ScoreCache::TopicList* halves = ScoreCache::FromSlot(*t.user_slot);
+        KSIR_CHECK(halves != nullptr);
+        KSIR_DCHECK(halves == cache_.Find(t.id));
         topic_id_scratch_.clear();
-        for (const ScoreCache::TopicHalves& half : halves) {
+        for (ScoreCache::TopicHalves& half : *halves) {
+          TouchSummary(half.topic, std::abs(half.listed));
+          erase_items_.push_back(
+              PendingErase{half.topic, t.id, half.listed, *HintOf(&half)});
           topic_id_scratch_.push_back(half.topic);
-        }
-        index_->InsertMembership(t.id, topic_id_scratch_.data(),
-                                 topic_id_scratch_.size(), t.te);
-        fresh_items_.push_back(FreshItem{t.element, &halves});
-      }
-    }
-    const bool reposition_losses = mode_ == RefreshMode::kExact;
-    const auto add_touched = [this](const ActiveWindow::Touched& t,
-                                    bool reposition, bool te_changed) {
-      ScoreCache::TopicList* halves = ScoreCache::FromSlot(*t.user_slot);
-      KSIR_DCHECK(halves == cache_.Find(t.id));
-      TouchedItem item;
-      item.touched = &t;
-      item.halves = halves;
-      // Reposition items buffer their changed tuples here; kPaper loss
-      // items (reposition off) reuse the buffer for their summary touches.
-      item.updates = run_arena_.AllocateArray<PendingHandle>(halves->size());
-      item.num_updates = 0;
-      item.reposition = reposition;
-      item.te_changed = te_changed;
-      touched_items_.push_back(item);
-    };
-    for (const ActiveWindow::Touched& t : update.gained_referrer) {
-      add_touched(t, /*reposition=*/true, /*te_changed=*/true);
-    }
-    for (const ActiveWindow::Touched& t : update.lost_referrer) {
-      add_touched(t, reposition_losses, /*te_changed=*/false);
-    }
-  }
-
-  const std::size_t num_fresh = fresh_items_.size();
-  {
-    StageScope scope(telemetry_, stage_score_hist_, "maint.score");
-    // Stage 3 (parallel, element-sharded): fresh-element scoring (the one
-    // full word scan of the element's lifetime), edge folding and score
-    // composition. Elements are disjoint — each one owns its cache rows —
-    // and each participant folds through its own dense accumulator, so the
-    // stage shares nothing mutable and allocates nothing.
-    const std::size_t total = num_fresh + touched_items_.size();
-    if (total > 0) {
-      std::atomic<std::size_t> cursor{0};
-      ParallelRun(pool_, std::min(workers_, total), [&](std::size_t p) {
-        StampedAccumulator& acc = worker_acc_[p];
-        for (;;) {
-          const std::size_t i =
-              cursor.fetch_add(1, std::memory_order_relaxed);
-          if (i >= total) return;
-          if (i < num_fresh) {
-            const FreshItem& item = fresh_items_[i];
-            cache_.ComputeHalves(*item.element, item.halves, &acc);
-            ScoreFresh(*item.element, item.halves);
-          } else {
-            ProcessTouchedParallel(&touched_items_[i - num_fresh], &acc);
+          const auto slot = static_cast<std::size_t>(half.topic);
+          if (erase_seen_[slot] == 0) {
+            erase_seen_[slot] = 1;
+            erase_topics_.push_back(half.topic);
           }
         }
-      });
-    }
-  }
-
-  {
-    StageScope scope(telemetry_, stage_gather_hist_, "maint.gather");
-    // Stage 4 (serial): deterministic gather. t_e lands first (one
-    // membership write per gained element, as in the serial path), then
-    // the per-element outputs are scattered into per-topic runs in EXACTLY
-    // the serial queue order — fresh inserts in element order, repositions
-    // in (element, support) order — so every list sees the identical
-    // operation sequence the serial path would have produced.
-    std::size_t total_inserts = 0;
-    std::size_t total_updates = 0;
-    for (const FreshItem& item : fresh_items_) {
-      for (const ScoreCache::TopicHalves& half : *item.halves) {
-        const auto topic = static_cast<std::size_t>(half.topic);
-        if (insert_counts_[topic]++ == 0 && topic_counts_[topic] == 0) {
-          touched_.push_back(half.topic);
+        index_->EraseMembership(t.id, topic_id_scratch_.data(),
+                                topic_id_scratch_.size());
+        cache_.Erase(t.id);
+        // The archived window entry outlives the pool row; a stray read of
+        // its slot must hit the query path's null check, not freed memory.
+        *t.user_slot = nullptr;
+      }
+      if (!erase_topics_.empty()) {
+        // Canonical topic order keeps the topic -> shard assignment (and so
+        // the worker each list lands on) stable across buckets and runs.
+        std::sort(erase_topics_.begin(), erase_topics_.end());
+        const std::size_t shards = std::min(workers_, erase_topics_.size());
+        for (std::size_t i = 0; i < erase_topics_.size(); ++i) {
+          const auto slot = static_cast<std::size_t>(erase_topics_[i]);
+          erase_seen_[slot] = 0;  // restored for the next bucket
+          topic_shard_[slot] = static_cast<std::uint32_t>(i % shards);
         }
-        TouchSummary(half.topic, std::abs(half.listed));
-        ++total_inserts;
+        ParallelRunAffine(
+            pool_, shards, shards, [&](std::size_t, std::size_t shard) {
+              // Each shard scans the full item sequence and executes only
+              // its topics' erases: per-list element order is preserved by
+              // construction, and the shards-many passes over the packed
+              // item vector are cheap next to the chunk memmoves they feed.
+              for (const PendingErase& e : erase_items_) {
+                if (topic_shard_[static_cast<std::size_t>(e.topic)] !=
+                    shard) {
+                  continue;
+                }
+                index_->EraseListEntry(e.topic, e.id, e.score, e.handle);
+              }
+            });
       }
     }
-    for (const TouchedItem& item : touched_items_) {
-      if (!item.reposition) {
-        // kPaper loss items carry summary touches, not repositions; fold
-        // them here and keep them out of the per-topic runs.
-        for (std::uint32_t i = 0; i < item.num_updates; ++i) {
-          TouchSummary(item.updates[i].topic, item.updates[i].payload.score);
-        }
-        continue;
-      }
-      if (item.te_changed) {
-        index_->TouchTime(item.touched->id, item.touched->te);
-      }
-      // Mirror the serial ProcessTouched accounting: num_updates tuples
-      // moved, the rest of the support was elided.
-      bucket_repositions_ += item.num_updates;
-      bucket_elisions_ += item.halves->size() - item.num_updates;
-      for (std::uint32_t i = 0; i < item.num_updates; ++i) {
-        const auto topic = static_cast<std::size_t>(item.updates[i].topic);
-        if (topic_counts_[topic]++ == 0 && insert_counts_[topic] == 0) {
-          touched_.push_back(item.updates[i].topic);
-        }
-        TouchSummary(item.updates[i].topic,
-                     std::abs(item.updates[i].payload.score -
-                              item.updates[i].payload.old_score));
-        ++total_updates;
-      }
-    }
-    if (touched_.empty()) return;
-    std::sort(touched_.begin(), touched_.end());
-    insert_runs = run_arena_.AllocateArray<PendingInsert>(total_inserts);
-    update_runs =
-        run_arena_.AllocateArray<RankedList::HandleUpdate>(total_updates);
-    insert_off =
-        run_arena_.AllocateArray<std::uint32_t>(touched_.size() + 1);
-    update_off =
-        run_arena_.AllocateArray<std::uint32_t>(touched_.size() + 1);
-    std::uint32_t ins = 0;
-    std::uint32_t upd = 0;
-    for (std::size_t i = 0; i < touched_.size(); ++i) {
-      const auto t = static_cast<std::size_t>(touched_[i]);
-      insert_off[i] = ins;
-      update_off[i] = upd;
-      const std::uint32_t insert_count = insert_counts_[t];
-      const std::uint32_t update_count = topic_counts_[t];
-      insert_counts_[t] = ins;  // repurposed as the scatter cursors
-      topic_counts_[t] = upd;
-      ins += insert_count;
-      upd += update_count;
-    }
-    insert_off[touched_.size()] = ins;
-    update_off[touched_.size()] = upd;
-    // Stage 4b (parallel, topic-sharded): the scatter itself. Each shard
-    // owns a disjoint topic subset — the same i % shards residue stage 5
-    // prefers through ParallelRunAffine, so the worker that writes a
-    // topic's runs is the one that applies them next. A shard scans the
-    // element-ordered item lists and advances only its topics' cursors, so
-    // the runs land byte-identically to a serial scatter.
-    const std::size_t shards = std::min(workers_, touched_.size());
-    for (std::size_t i = 0; i < touched_.size(); ++i) {
-      topic_shard_[static_cast<std::size_t>(touched_[i])] =
-          static_cast<std::uint32_t>(i % shards);
-    }
-    ParallelRunAffine(
-        pool_, shards, shards, [&](std::size_t, std::size_t shard) {
-          for (const FreshItem& item : fresh_items_) {
-            const ElementId id = item.element->id;
-            for (ScoreCache::TopicHalves& half : *item.halves) {
-              const auto topic = static_cast<std::size_t>(half.topic);
-              if (topic_shard_[topic] != shard) continue;
-              insert_runs[insert_counts_[topic]++] =
-                  PendingInsert{id, half.listed, &half.handle};
-            }
+    {
+      StageScope scope(telemetry_, stage_insert_hist_, "maint.insert");
+      // Stage 2 (serial): lay out the bucket's work. Fresh elements get
+      // their cache entry rows and membership record (hash maps and pools
+      // are single-threaded state); gained/lost elements get an arena
+      // buffer sized for their full support. No scores are computed yet.
+      run_arena_.Reset();
+      fresh_items_.clear();
+      touched_items_.clear();
+      for (const std::vector<ActiveWindow::Touched>* list :
+           {&update.inserted, &update.resurrected}) {
+        for (const ActiveWindow::Touched& t : *list) {
+          ScoreCache::TopicList& halves = cache_.AllocateEntry(*t.element);
+          *t.user_slot = &halves;  // carried to every later touch
+          topic_id_scratch_.clear();
+          for (const ScoreCache::TopicHalves& half : halves) {
+            topic_id_scratch_.push_back(half.topic);
           }
-          for (const TouchedItem& item : touched_items_) {
-            if (!item.reposition) continue;  // summary-only, folded above
-            for (std::uint32_t i = 0; i < item.num_updates; ++i) {
-              const auto topic =
-                  static_cast<std::size_t>(item.updates[i].topic);
-              if (topic_shard_[topic] != shard) continue;
-              update_runs[topic_counts_[topic]++] = item.updates[i].payload;
+          index_->InsertMembership(t.id, topic_id_scratch_.data(),
+                                   topic_id_scratch_.size(), t.te);
+          fresh_items_.push_back(FreshItem{t.element, &halves});
+        }
+      }
+      const auto add_touched = [this](const ActiveWindow::Touched& t,
+                                      bool reposition, bool te_changed) {
+        ScoreCache::TopicList* halves = ScoreCache::FromSlot(*t.user_slot);
+        KSIR_DCHECK(halves == cache_.Find(t.id));
+        TouchedItem item;
+        item.touched = &t;
+        item.halves = halves;
+        // Reposition items buffer their changed tuples here; kPaper loss
+        // items (reposition off) reuse the buffer for their summary
+        // touches.
+        item.updates = run_arena_.AllocateArray<PendingHandle>(halves->size());
+        item.num_updates = 0;
+        item.reposition = reposition;
+        item.te_changed = te_changed;
+        touched_items_.push_back(item);
+      };
+      for (const ActiveWindow::Touched& t : update.gained_referrer) {
+        add_touched(t, /*reposition=*/true, /*te_changed=*/true);
+      }
+      // A lost referral never moves t_e (it is a running max). Under kExact
+      // the element is repositioned (topics the expired referrer did not
+      // share are elided); under kPaper only the cache absorbs the loss.
+      const bool reposition_losses = mode_ == RefreshMode::kExact;
+      for (const ActiveWindow::Touched& t : update.lost_referrer) {
+        add_touched(t, reposition_losses, /*te_changed=*/false);
+      }
+    }
+
+    const std::size_t num_fresh = fresh_items_.size();
+    {
+      StageScope scope(telemetry_, stage_score_hist_, "maint.score");
+      // Stage 3 (element-sharded): fresh-element scoring (the one full
+      // word scan of the element's lifetime; the window's referrer sets
+      // already reflect this bucket, so fresh elements carry no edge
+      // spans), edge folding and score composition. Elements are disjoint
+      // — each one owns its cache rows — and each participant folds
+      // through its own dense accumulator, so the stage shares nothing
+      // mutable and allocates nothing.
+      const std::size_t total = num_fresh + touched_items_.size();
+      if (total > 0) {
+        std::atomic<std::size_t> cursor{0};
+        ParallelRun(pool_, std::min(workers_, total), [&](std::size_t p) {
+          StampedAccumulator& acc = worker_acc_[p];
+          for (;;) {
+            const std::size_t i =
+                cursor.fetch_add(1, std::memory_order_relaxed);
+            if (i >= total) return;
+            if (i < num_fresh) {
+              const FreshItem& item = fresh_items_[i];
+              cache_.ComputeHalves(*item.element, item.halves, &acc);
+              ScoreFresh(*item.element, item.halves);
+            } else {
+              ProcessTouched(&touched_items_[i - num_fresh], &acc);
             }
           }
         });
-  }
+      }
+    }
 
-  StageScope list_scope(telemetry_, stage_list_apply_hist_,
-                        "maint.list_apply");
-  // Stage 5 (parallel, topic-sharded): apply each touched topic's fresh
-  // inserts, then its reposition run. A topic is executed by exactly one
-  // participant and no list state is shared across topics, so there is no
-  // list-level locking; handle minting and the ScoreCache handle
-  // write-backs land identically to the serial order because each list
-  // executes its serial operation sequence. ParallelRunAffine gives unit i
-  // the i % P residue that scattered its runs in stage 4b — warm caches —
-  // while the steal sweep keeps the stage work-conserving.
-  ParallelRunAffine(
-      pool_, workers_, touched_.size(), [&](std::size_t, std::size_t i) {
-        const TopicId topic = touched_[i];
-        for (std::uint32_t k = insert_off[i]; k < insert_off[i + 1]; ++k) {
-          *insert_runs[k].handle = index_->InsertListEntry(
-              topic, insert_runs[k].id, insert_runs[k].score);
+    PendingInsert* insert_runs = nullptr;
+    RankedList::HandleUpdate* update_runs = nullptr;
+    std::uint32_t* insert_off = nullptr;
+    std::uint32_t* update_off = nullptr;
+    {
+      StageScope scope(telemetry_, stage_gather_hist_, "maint.gather");
+      // Stage 4: deterministic gather. t_e lands first (one membership
+      // write per gained element), then the per-element outputs are
+      // scattered into per-topic runs in element order — fresh inserts in
+      // element order, repositions in (element, support) order. Topic
+      // order is sorted only for determinism of the arena layout and the
+      // topic -> shard map; the runs are independent.
+      std::size_t total_inserts = 0;
+      std::size_t total_updates = 0;
+      for (const FreshItem& item : fresh_items_) {
+        for (const ScoreCache::TopicHalves& half : *item.halves) {
+          const auto topic = static_cast<std::size_t>(half.topic);
+          if (insert_counts_[topic]++ == 0 && topic_counts_[topic] == 0) {
+            touched_.push_back(half.topic);
+          }
+          TouchSummary(half.topic, std::abs(half.listed));
+          ++total_inserts;
         }
-        index_->RepositionHandles(topic, update_runs + update_off[i],
-                                  update_off[i + 1] - update_off[i]);
-      });
+      }
+      for (const TouchedItem& item : touched_items_) {
+        if (!item.reposition) {
+          // kPaper loss items carry summary touches, not repositions; fold
+          // them here and keep them out of the per-topic runs.
+          for (std::uint32_t i = 0; i < item.num_updates; ++i) {
+            TouchSummary(item.updates[i].topic, item.updates[i].payload.score);
+          }
+          continue;
+        }
+        if (item.te_changed) {
+          index_->TouchTime(item.touched->id, item.touched->te);
+        }
+        // num_updates tuples moved, the rest of the support was elided.
+        bucket_repositions_ += item.num_updates;
+        bucket_elisions_ += item.halves->size() - item.num_updates;
+        for (std::uint32_t i = 0; i < item.num_updates; ++i) {
+          const auto topic = static_cast<std::size_t>(item.updates[i].topic);
+          if (topic_counts_[topic]++ == 0 && insert_counts_[topic] == 0) {
+            touched_.push_back(item.updates[i].topic);
+          }
+          TouchSummary(item.updates[i].topic,
+                       std::abs(item.updates[i].payload.score -
+                                item.updates[i].payload.old_score));
+          ++total_updates;
+        }
+      }
+      // A bucket without list work skips the scatter, never the stage
+      // scopes: every stage records once per bucket.
+      if (!touched_.empty()) {
+        std::sort(touched_.begin(), touched_.end());
+        insert_runs = run_arena_.AllocateArray<PendingInsert>(total_inserts);
+        update_runs =
+            run_arena_.AllocateArray<RankedList::HandleUpdate>(total_updates);
+        insert_off =
+            run_arena_.AllocateArray<std::uint32_t>(touched_.size() + 1);
+        update_off =
+            run_arena_.AllocateArray<std::uint32_t>(touched_.size() + 1);
+        std::uint32_t ins = 0;
+        std::uint32_t upd = 0;
+        for (std::size_t i = 0; i < touched_.size(); ++i) {
+          const auto t = static_cast<std::size_t>(touched_[i]);
+          insert_off[i] = ins;
+          update_off[i] = upd;
+          const std::uint32_t insert_count = insert_counts_[t];
+          const std::uint32_t update_count = topic_counts_[t];
+          insert_counts_[t] = ins;  // repurposed as the scatter cursors
+          topic_counts_[t] = upd;
+          ins += insert_count;
+          upd += update_count;
+        }
+        insert_off[touched_.size()] = ins;
+        update_off[touched_.size()] = upd;
+        // Stage 4b (topic-sharded): the scatter itself. Each shard owns a
+        // disjoint topic subset — the same i % shards residue stage 5
+        // prefers through ParallelRunAffine, so the participant that
+        // writes a topic's runs is the one that applies them next. A shard
+        // scans the element-ordered item lists and advances only its
+        // topics' cursors, so the runs land byte-identically whatever the
+        // shard count.
+        const std::size_t shards = std::min(workers_, touched_.size());
+        for (std::size_t i = 0; i < touched_.size(); ++i) {
+          topic_shard_[static_cast<std::size_t>(touched_[i])] =
+              static_cast<std::uint32_t>(i % shards);
+        }
+        ParallelRunAffine(
+            pool_, shards, shards, [&](std::size_t, std::size_t shard) {
+              for (const FreshItem& item : fresh_items_) {
+                const ElementId id = item.element->id;
+                for (ScoreCache::TopicHalves& half : *item.halves) {
+                  const auto topic = static_cast<std::size_t>(half.topic);
+                  if (topic_shard_[topic] != shard) continue;
+                  insert_runs[insert_counts_[topic]++] =
+                      PendingInsert{id, half.listed, &half.handle};
+                }
+              }
+              for (const TouchedItem& item : touched_items_) {
+                if (!item.reposition) continue;  // summary-only, folded above
+                for (std::uint32_t i = 0; i < item.num_updates; ++i) {
+                  const auto topic =
+                      static_cast<std::size_t>(item.updates[i].topic);
+                  if (topic_shard_[topic] != shard) continue;
+                  update_runs[topic_counts_[topic]++] =
+                      item.updates[i].payload;
+                }
+              }
+            });
+      }
+    }
 
-  // Restore the lazily-zeroed counters for the next bucket.
-  for (const TopicId topic : touched_) {
-    insert_counts_[static_cast<std::size_t>(topic)] = 0;
-    topic_counts_[static_cast<std::size_t>(topic)] = 0;
+    StageScope scope(telemetry_, stage_list_apply_hist_, "maint.list_apply");
+    // Stage 5 (topic-sharded): apply each touched topic's fresh inserts,
+    // then its reposition run, one RankedList::UpdateHandle per element.
+    // A topic is executed by exactly one participant and no list state is
+    // shared across topics, so there is no list-level locking, and handle
+    // minting and the ScoreCache handle write-backs do not depend on the
+    // participant count. ParallelRunAffine gives unit i the i % P residue
+    // that scattered its runs in stage 4b — warm caches — while the steal
+    // sweep keeps the stage work-conserving.
+    ParallelRunAffine(
+        pool_, workers_, touched_.size(), [&](std::size_t, std::size_t i) {
+          const TopicId topic = touched_[i];
+          for (std::uint32_t k = insert_off[i]; k < insert_off[i + 1]; ++k) {
+            *insert_runs[k].handle = index_->InsertListEntry(
+                topic, insert_runs[k].id, insert_runs[k].score);
+          }
+          index_->RepositionHandles(topic, update_runs + update_off[i],
+                                    update_off[i + 1] - update_off[i]);
+        });
+    // Restore the lazily-zeroed counters for the next bucket.
+    for (const TopicId topic : touched_) {
+      insert_counts_[static_cast<std::size_t>(topic)] = 0;
+      topic_counts_[static_cast<std::size_t>(topic)] = 0;
+    }
+    touched_.clear();
   }
-  touched_.clear();
+  MaterializeSummary();
+  // Counter flush: the hot loops above accumulate into plain members; one
+  // sharded fetch_add per series per bucket lands them in the registry.
+  if (!update.expired.empty()) {
+    expired_counter_->Add(static_cast<std::int64_t>(update.expired.size()));
+  }
+  const std::size_t fresh = update.inserted.size() + update.resurrected.size();
+  if (fresh > 0) fresh_counter_->Add(static_cast<std::int64_t>(fresh));
+  const std::size_t touched =
+      update.gained_referrer.size() + update.lost_referrer.size();
+  if (touched > 0) touched_counter_->Add(static_cast<std::int64_t>(touched));
+  if (bucket_repositions_ > 0) {
+    repositions_counter_->Add(static_cast<std::int64_t>(bucket_repositions_));
+  }
+  if (bucket_elisions_ > 0) {
+    elisions_counter_->Add(static_cast<std::int64_t>(bucket_elisions_));
+  }
 }
 
 }  // namespace ksir

@@ -51,62 +51,64 @@ enum class ScoreMaintenance {
 
 /// Applies window updates to the ranked lists (Algorithm 1 lines 4-13).
 ///
-/// There is one pipeline. A bucket's repositions are built entirely from
-/// state already carried by the pipeline — the window report's Touched
-/// records (element pointer, final t_e, gained/lost referrer topic spans,
-/// the user slot holding the element's ScoreCache entry) and the entry
-/// itself (score halves, listed score, ranked-list handle) — so a touched
-/// element costs no hash probe. The changed keys are gathered into one run
-/// per topic, and each list applies its run as per-element UpdateHandle
-/// calls. All per-bucket state is owned by this maintainer — one engine's
-/// maintainer never shares mutable state with another's, which is what
-/// lets the sharded service advance shards in parallel.
+/// There is one pipeline and one apply. A bucket's repositions are built
+/// entirely from state already carried by the pipeline — the window
+/// report's Touched records (element pointer, final t_e, gained/lost
+/// referrer topic spans, the user slot holding the element's ScoreCache
+/// entry) and the entry itself (score halves, listed score, ranked-list
+/// handle) — so a touched element costs no hash probe. The changed keys are
+/// gathered into one run per topic, and each list applies its run as
+/// per-element UpdateHandle calls. All per-bucket state is owned by this
+/// maintainer — one engine's maintainer never shares mutable state with
+/// another's, which is what lets the sharded service advance shards in
+/// parallel.
 ///
-/// Two constructor knobs each switch off one layer of that pipeline,
-/// never selecting a different apply: `carry_handles = false` stops reading
-/// list handles (positions resolve by the carried listed key, the fallback
-/// a stale handle already takes); a pool with `parallel_workers < 2` runs
-/// the apply serially.
-///
-/// With a runtime WorkerPool and `parallel_workers >= 2` the bucket apply
-/// runs STAGED (see ApplyParallel), and every stage that touches list
-/// memory fans out:
+/// The apply runs in five stages, each with its own histogram:
 ///   1. expiry — a serial prologue walks the expired elements (summary
 ///      touches, membership + cache erases: hash maps and pools are
 ///      single-threaded state) copying each carried per-topic hint out of
 ///      the dying cache entry, then the per-list erases run TOPIC-SHARDED
-///      (each touched topic is owned by one worker, which replays that
-///      list's erases in element order);
-///   2. layout (serial) — cache entry rows, membership records and arena
-///      buffers for the bucket's touched elements;
-///   3. scoring (parallel, element-sharded) — fresh-element scoring, edge
-///      folding, score composition; each participant folds through its own
-///      dense accumulator;
+///      (each touched topic is owned by one participant, which replays
+///      that list's erases in element order);
+///   2. insert (layout, serial) — cache entry rows, membership records and
+///      arena buffers for the bucket's touched elements;
+///   3. score (element-sharded) — fresh-element scoring, edge folding,
+///      score composition; each participant folds through its own dense
+///      accumulator;
 ///   4. gather — a serial counting pass fixes the per-topic run layout,
 ///      summary touches and t_e writes, then the scatter into per-topic
-///      runs is TOPIC-SHARDED: each worker owns a disjoint topic subset
-///      and writes exactly its topics' runs, in element order, so the
-///      concatenated runs equal the serial queue order by construction;
-///   5. list apply (parallel, topic-sharded) — each touched topic's
-///      RankedList (fresh inserts then the reposition run) is claimed by
-///      exactly one worker, so no list-level locking.
-/// The topic-keyed stages run through ParallelRunAffine, so the same
-/// topic shard lands on the same pool worker bucket after bucket (cache
-/// affinity; see runtime/worker_pool.h). Because every list sees the
-/// identical operation sequence the serial path would produce, the
-/// resulting lists, handles and ScoreCache state are BITWISE identical to
-/// the serial apply. The staged apply stays because it pays at high bucket
-/// density: with 4 threads on 4 cores at 10x paper bucket density it
-/// halved wall-clock bucket p50 (see README).
+///      runs is TOPIC-SHARDED: each participant owns a disjoint topic
+///      subset and writes exactly its topics' runs, in element order;
+///   5. list apply (topic-sharded) — each touched topic's RankedList
+///      (fresh inserts then the reposition run) is claimed by exactly one
+///      participant, so no list-level locking.
+/// Every list sees the same operation sequence whatever the participant
+/// count — erases, then inserts, then repositions, each in element order —
+/// so lists, handles, t_e and ScoreCache state are BITWISE identical
+/// across participant counts. The advancing thread is participant 0.
+/// Without a pool, or with `parallel_workers < 2`, it is the only one: the
+/// stages' ParallelRun / ParallelRunAffine calls then run inline and never
+/// touch a pool. With a WorkerPool and `parallel_workers >= 2` the sharded
+/// stages fan out, the topic-keyed ones through ParallelRunAffine, so the
+/// same topic shard lands on the same pool worker bucket after bucket
+/// (cache affinity; see runtime/worker_pool.h). The fan-out pays at high
+/// bucket density: with 4 threads on 4 cores at 10x paper bucket density
+/// it halved wall-clock bucket p50 (see README).
+///
+/// `carry_handles = false` switches off one layer of the pipeline, never
+/// selecting a different apply: list handles are not read (positions
+/// resolve by the carried listed key, the fallback a stale handle already
+/// takes).
 class IndexMaintainer {
  public:
   /// `ctx` and `index` must outlive the maintainer; `ctx`'s window must be
   /// the window whose updates are applied. `maintenance` picks the score
   /// source. `carry_handles = false` resolves every list position by its
   /// carried key instead of its handle. `pool` + `parallel_workers >= 2`
-  /// enable the staged parallel apply (`pool` must outlive the maintainer
-  /// and may be shared — the stages fan out through ParallelRun, whose
-  /// caller participation tolerates a busy pool).
+  /// fan the stages out over `parallel_workers` participants (`pool` must
+  /// outlive the maintainer and may be shared — the stages fan out through
+  /// ParallelRun, whose caller participation tolerates a busy pool);
+  /// otherwise the advancing thread runs every stage alone.
   /// `telemetry` (optional, must outlive the maintainer) receives the
   /// per-stage bucket-apply histograms (`ksir_maintainer_stage_*_seconds`)
   /// and touched/reposition/elision counters; null gives the maintainer a
@@ -127,8 +129,50 @@ class IndexMaintainer {
   const AdvanceSummary& last_summary() const { return summary_; }
 
  private:
-  void ApplySerial(const ActiveWindow::UpdateResult& update);
-  void ApplyParallel(const ActiveWindow::UpdateResult& update);
+  /// One fresh (inserted / resurrected) element of the bucket: entry rows
+  /// laid out by the insert stage, score halves computed by the score
+  /// stage.
+  struct FreshItem {
+    const SocialElement* element;
+    ScoreCache::TopicList* halves;
+  };
+  /// One pending ranked-list reposition of one topic; the payload points
+  /// back into the ScoreCache entry so the list writes the refreshed
+  /// position hint straight through.
+  struct PendingHandle {
+    TopicId topic;
+    RankedList::HandleUpdate payload;
+  };
+  /// One gained-/lost-referrer element: the score stage folds its edge
+  /// spans, composes scores and writes the changed tuples into `updates`
+  /// (arena storage sized to the full support; `num_updates` filled by the
+  /// one participant that claims the element).
+  struct TouchedItem {
+    const ActiveWindow::Touched* touched;
+    ScoreCache::TopicList* halves;
+    PendingHandle* updates;
+    std::uint32_t num_updates;
+    bool reposition;
+    bool te_changed;
+  };
+  /// One fresh list insert of the list-apply stage (scattered per topic by
+  /// the gather, applied by the topic's participant, handle written
+  /// through).
+  struct PendingInsert {
+    ElementId id;
+    double score;
+    RankedList::Handle* handle;
+  };
+  /// One per-list erase of the topic-sharded expiry stage, in element
+  /// order. The hint fields are copied OUT of the dying cache entry by the
+  /// serial prologue: cache_.Erase frees the pool row the halves live in,
+  /// so the fan-out must not read through the entry.
+  struct PendingErase {
+    TopicId topic;
+    ElementId id;
+    double score;
+    RankedList::Handle handle;
+  };
 
   /// The score source: delta_i(e) of one support topic, composed from the
   /// cached halves (kIncremental) or from scratch (kRecompute).
@@ -148,29 +192,15 @@ class IndexMaintainer {
     return &half->handle;
   }
 
-  /// Erases one expired element from the lists and the cache (the serial
-  /// apply path; the parallel apply shards the list erases by topic — see
-  /// ApplyParallel stage 1).
-  void EraseExpired(const ActiveWindow::Touched& t);
-
-  /// Inserts a fresh / resurrected element into the cache and the lists,
-  /// seeding the cache entry's handles.
-  void InsertFresh(const ActiveWindow::Touched& t);
-
-  /// One touched element of a bucket: applies its carried edge spans to the
-  /// cached influence halves, then (when `reposition` is set) queues the
-  /// topics whose score moved into the per-topic pending runs; unchanged
-  /// topics are elided. `te_changed` writes the element's new t_e.
-  void ProcessTouched(const ActiveWindow::Touched& t, bool reposition,
-                      bool te_changed);
-
-  /// Scatters the queued repositions into arena-backed per-topic runs and
-  /// applies each touched list's run in one RepositionHandles call.
-  void FlushRepositions();
+  /// The score stage's kernel for one touched element: applies its carried
+  /// edge spans to the cached influence halves through `acc`, then writes
+  /// the topics whose score moved into the item's update buffer (unchanged
+  /// topics are elided). A kPaper referrer-loss item (reposition off)
+  /// parks its summary touches there instead.
+  void ProcessTouched(TouchedItem* item, StampedAccumulator* acc);
 
   /// Scatters one element's carried edge spans into `acc` and folds them
-  /// into the cached influence halves (the shared edge-folding kernel of
-  /// the serial and parallel applies).
+  /// into the cached influence halves.
   static void FoldEdges(const ActiveWindow::Touched& t,
                         ScoreCache::TopicList* halves,
                         StampedAccumulator* acc);
@@ -178,14 +208,6 @@ class IndexMaintainer {
   /// Records one score movement on `topic` into the bucket's summary
   /// accumulator (dense max, lazily cleared at materialization).
   void TouchSummary(TopicId topic, double movement);
-
-  /// Records the kPaper-elided score movements of one referrer-loss
-  /// element: the lists stay stale-high, but the true delta_i(e) moved on
-  /// every support topic the lost referrers overlapped, and subscriptions
-  /// keyed on those topics must see the touch. Reads the fold residue
-  /// still stamped in `acc` right after FoldEdges(t, halves, acc).
-  void TouchElidedLoss(const ScoreCache::TopicList& halves,
-                       const StampedAccumulator& acc);
 
   /// Sorts and publishes the bucket's summary accumulator into summary_,
   /// restoring the dense arrays for the next bucket.
@@ -197,18 +219,18 @@ class IndexMaintainer {
   ScoreMaintenance maintenance_;
   /// Read list handles (false: resolve positions by the carried key).
   bool use_handles_;
-  /// Staged parallel apply: pool + participant count (the advancing thread
-  /// is participant 0; the pool supplies helpers).
+  /// Stage participants: the advancing thread is participant 0 and the
+  /// pool supplies the helpers. One participant never touches the pool,
+  /// so pool_ is null then.
   WorkerPool* pool_ = nullptr;
   std::size_t workers_ = 1;
-  bool parallel_ = false;
   /// Fallback Telemetry (kOff) owned when no shared one was passed, so the
   /// metric pointers below are always valid and the hot path never
   /// null-checks them.
   std::unique_ptr<Telemetry> owned_telemetry_;
   Telemetry* telemetry_;
-  /// Stage histograms (recorded only when timing is enabled); the serial
-  /// and staged applies record the same five stages.
+  /// Stage histograms (recorded only when timing is enabled), one
+  /// observation per stage per bucket.
   Histogram* stage_expiry_hist_;
   Histogram* stage_insert_hist_;
   Histogram* stage_score_hist_;
@@ -232,68 +254,14 @@ class IndexMaintainer {
   std::vector<std::uint8_t> summary_seen_;
   std::vector<TopicId> summary_topics_;
   ScoreCache cache_;
-  SmallVector<RankedList::ErasureHint, 8> hint_scratch_;
   /// An element's support topics, in its topic-vector order (membership
-  /// rows of fresh inserts and parallel-apply erases).
+  /// rows of fresh inserts and expiry erases).
   std::vector<TopicId> topic_id_scratch_;
 
-  /// ---- per-bucket reposition state (live only within one Apply call) ----
-  /// One pending ranked-list reposition per (topic, element), in queue
-  /// order; it points back into the ScoreCache entry so the list writes
-  /// the refreshed position hint straight through.
-  struct PendingHandle {
-    TopicId topic;
-    RankedList::HandleUpdate payload;
-  };
-  std::vector<PendingHandle> pending_handles_;
-  /// Pending repositions per topic this bucket; zeroed lazily via
-  /// `touched_`.
-  std::vector<std::uint32_t> topic_counts_;
-  std::vector<TopicId> touched_;
-  /// Dense per-topic edge accumulator (stamp-cleared per element): one
-  /// scatter per edge entry, one gather over the element's support.
-  StampedAccumulator edge_acc_;
-  /// Backs the scattered per-topic runs; reset every flush.
+  /// ---- per-bucket state (live only within one Apply call) ----
+  /// Backs the touched items' update buffers and the per-topic runs; reset
+  /// every bucket.
   Arena run_arena_;
-
-  /// ---- staged parallel apply state (parallel_ engines only) ----
-  /// One fresh (inserted / resurrected) element of the bucket: entry rows
-  /// laid out serially, score halves computed by the element stage.
-  struct FreshItem {
-    const SocialElement* element;
-    ScoreCache::TopicList* halves;
-  };
-  /// One gained-/lost-referrer element: the element stage folds its edge
-  /// spans, composes scores and writes the changed tuples into `updates`
-  /// (arena storage sized to the full support; `num_updates` filled by the
-  /// one worker that claims the element).
-  struct TouchedItem {
-    const ActiveWindow::Touched* touched;
-    ScoreCache::TopicList* halves;
-    PendingHandle* updates;
-    std::uint32_t num_updates;
-    bool reposition;
-    bool te_changed;
-  };
-  /// One fresh list insert of the topic stage (scattered per topic by the
-  /// gather, applied by the topic's worker, handle written through).
-  struct PendingInsert {
-    ElementId id;
-    double score;
-    RankedList::Handle* handle;
-  };
-  /// One per-list erase of the topic-sharded expiry stage, in element
-  /// order. The hint fields are copied OUT of the dying cache entry by the
-  /// serial prologue: cache_.Erase frees the pool row the halves live in,
-  /// so the fan-out must not read through the entry.
-  struct PendingErase {
-    TopicId topic;
-    ElementId id;
-    double score;
-    RankedList::Handle handle;
-  };
-  void ProcessTouchedParallel(TouchedItem* item, StampedAccumulator* acc);
-
   std::vector<PendingErase> erase_items_;
   /// Distinct topics with erases this bucket (deduped through erase_seen_,
   /// which is restored to zero during shard assignment).
@@ -305,10 +273,12 @@ class IndexMaintainer {
   std::vector<std::uint32_t> topic_shard_;
   std::vector<FreshItem> fresh_items_;
   std::vector<TouchedItem> touched_items_;
-  /// Pending fresh list inserts per topic (the reposition counts reuse
-  /// topic_counts_); zeroed lazily via touched_.
+  /// Topics with list work this bucket, and their pending fresh inserts
+  /// and repositions; the counts are zeroed lazily via touched_.
+  std::vector<TopicId> touched_;
   std::vector<std::uint32_t> insert_counts_;
-  /// Per-worker dense accumulators for the element stage, indexed by
+  std::vector<std::uint32_t> topic_counts_;
+  /// Per-participant dense accumulators for the score stage, indexed by
   /// ParallelRun participant, so the stage allocates nothing and contends
   /// on nothing.
   std::vector<StampedAccumulator> worker_acc_;

@@ -340,21 +340,6 @@ void RankedListIndex::RepositionHandles(
   }
 }
 
-void RankedListIndex::EraseWithHints(ElementId id,
-                                     const RankedList::ErasureHint* hints,
-                                     std::size_t n) {
-  const auto it = membership_.find(id);
-  KSIR_CHECK(it != membership_.end());
-  KSIR_CHECK(it->second.topics.size() == n);
-  for (std::size_t i = 0; i < n; ++i) {
-    KSIR_DCHECK(it->second.topics[i] == hints[i].topic);
-    lists_[static_cast<std::size_t>(hints[i].topic)].EraseHandle(
-        id, hints[i].score, hints[i].handle);
-    --total_entries_;
-  }
-  membership_.erase(it);
-}
-
 void RankedListIndex::EraseMembership(ElementId id,
                                       [[maybe_unused]] const TopicId* topics,
                                       std::size_t n) {

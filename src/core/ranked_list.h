@@ -82,14 +82,6 @@ class RankedList {
     Handle* handle;
   };
 
-  /// Everything the handle-based erase path needs to drop one list entry
-  /// without re-deriving it: which list, the listed key, the position hint.
-  struct ErasureHint {
-    TopicId topic;
-    double score;
-    Handle handle;
-  };
-
   /// Keys per chunk: 64 * 16 B = 1 KiB of contiguous keys per chunk; splits
   /// at capacity keep memmoves short while iteration stays sequential.
   static constexpr std::size_t kChunkCapacity = 64;
@@ -255,7 +247,7 @@ class RankedListIndex {
               const std::vector<std::pair<TopicId, double>>& topic_scores,
               Timestamp te, RankedList::Handle* handles_out = nullptr);
 
-  /// Serial half of the parallel fresh-insert path: records the membership
+  /// Serial half of a fresh insert: records the membership
   /// row (`topics` must be the element's exact support, in its topic-vector
   /// order) and the entry count WITHOUT touching any list. The per-topic
   /// InsertListEntry calls supply the list halves; Insert == membership +
@@ -265,7 +257,7 @@ class RankedListIndex {
 
   /// Inserts one (id, score) into one topic's list and returns the minted
   /// handle. Touches ONLY that list, so topic-disjoint callers (the
-  /// maintainer's parallel list stage) run concurrently without locks; the
+  /// maintainer's topic-sharded list stage) run concurrently without locks; the
   /// membership row must already exist (InsertMembership).
   RankedList::Handle InsertListEntry(TopicId topic, ElementId id,
                                      double score);
@@ -285,13 +277,7 @@ class RankedListIndex {
   /// t_e of an indexed element.
   Timestamp TimeOf(ElementId id) const;
 
-  /// Removes `id` using carried per-topic hints; `hints` must cover exactly
-  /// the element's insertion support (debug-verified). Equivalent to
-  /// EraseMembership + one EraseListEntry per hint, in hint order.
-  void EraseWithHints(ElementId id, const RankedList::ErasureHint* hints,
-                      std::size_t n);
-
-  /// Serial half of the topic-sharded expiry path: drops `id`'s membership
+  /// Serial half of an expiry: drops `id`'s membership
   /// row and entry count WITHOUT touching any list (the mirror of
   /// InsertMembership). `topics` must be the element's exact insertion
   /// support in membership order (debug-verified). The per-topic
@@ -300,8 +286,8 @@ class RankedListIndex {
 
   /// Removes one carried (score, handle) entry from one topic's list.
   /// Touches ONLY that list, so topic-disjoint callers (the maintainer's
-  /// parallel expiry stage) run concurrently without locks; the membership
-  /// row is dropped separately (EraseMembership).
+  /// topic-sharded expiry stage) run concurrently without locks; the
+  /// membership row is dropped separately (EraseMembership).
   void EraseListEntry(TopicId topic, ElementId id, double score,
                       RankedList::Handle handle);
 

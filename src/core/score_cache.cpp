@@ -12,12 +12,6 @@ ScoreCache::~ScoreCache() {
   for (auto& [id, entry] : entries_) pool_.Destroy(entry);
 }
 
-ScoreCache::TopicList& ScoreCache::Insert(const SocialElement& e) {
-  TopicList& topics = AllocateEntry(e);
-  ComputeHalves(e, &topics, &acc_);
-  return topics;
-}
-
 ScoreCache::TopicList& ScoreCache::AllocateEntry(const SocialElement& e) {
   TopicList*& slot = entries_[e.id];
   if (slot == nullptr) slot = pool_.Create();

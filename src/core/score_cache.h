@@ -45,10 +45,10 @@ namespace ksir {
 class ScoreCache {
  public:
   /// One support topic of one element. `semantic` is immutable after
-  /// Insert; `influence` tracks I_{i,t}(e) incrementally. Field order keeps
-  /// the edge-application working set (topic, p_i(e), influence) in one
-  /// contiguous span — the maintainer folds every bucket's edge deltas
-  /// into these rows.
+  /// ComputeHalves; `influence` tracks I_{i,t}(e) incrementally. Field
+  /// order keeps the edge-application working set (topic, p_i(e),
+  /// influence) in one contiguous span — the maintainer folds every
+  /// bucket's edge deltas into these rows.
   struct TopicHalves {
     TopicId topic;
     double topic_prob;  // p_i(e), kept to avoid re-probing the element
@@ -95,29 +95,22 @@ class ScoreCache {
   ScoreCache(const ScoreCache&) = delete;
   ScoreCache& operator=(const ScoreCache&) = delete;
 
-  /// (Re)computes both halves for every topic in e's support: R_i(e) by the
-  /// one-and-only full word scan, I_{i,t}(e) from the window's current
-  /// referrer set. Replaces any previous entry (resurrection). Returns the
-  /// fresh entry so the caller can seed the handles without a second probe;
-  /// entries are pool-allocated, so the reference stays stable for the
-  /// element's whole indexed lifetime (the maintainer parks it in the
-  /// window's user slot and never probes for it again).
-  /// Equivalent to AllocateEntry + ComputeHalves with the cache's own
-  /// accumulator — the split the parallel maintenance pipeline uses.
-  TopicList& Insert(const SocialElement& e);
-
-  /// Serial half of the parallel insert path: creates (or replaces, on
-  /// resurrection) the entry and lays out one row per support topic with
-  /// `topic` and `topic_prob` filled and the score halves zeroed. Touches
-  /// the id table and the pool — the single-threaded part.
+  /// Serial half of an insert: creates (or replaces, on resurrection) the
+  /// entry and lays out one row per support topic with `topic` and
+  /// `topic_prob` filled and the score halves zeroed. Touches the id table
+  /// and the pool — the single-threaded part. Entries are pool-allocated,
+  /// so the returned reference stays stable for the element's whole
+  /// indexed lifetime (the maintainer parks it in the window's user slot
+  /// and never probes for it again).
   TopicList& AllocateEntry(const SocialElement& e);
 
   /// Pure compute half: fills semantic / influence / listed of every row
-  /// laid out by AllocateEntry, reading only state that is immutable during
-  /// index maintenance (the element, the model, the window's referrer
-  /// sets). `acc` is the caller's dense scratch — the parallel stage runs
-  /// this concurrently for DISJOINT elements, one accumulator per worker.
-  /// Composes bitwise the same doubles as Insert.
+  /// laid out by AllocateEntry — R_i(e) by the one-and-only full word scan,
+  /// I_{i,t}(e) from the window's current referrer set — reading only
+  /// state that is immutable during index maintenance (the element, the
+  /// model, the window's referrer sets). `acc` is the caller's dense
+  /// scratch — the maintainer's score stage runs this concurrently for
+  /// DISJOINT elements, one accumulator per participant.
   void ComputeHalves(const SocialElement& e, TopicList* topics,
                      StampedAccumulator* acc) const;
 
@@ -140,9 +133,6 @@ class ScoreCache {
   /// through the carried slot in between.
   FlatHashMap<ElementId, TopicList*> entries_;
   ObjectPool<TopicList> pool_;
-  /// Dense per-topic accumulator of Insert's one-pass influence
-  /// computation (stamp-cleared per element, sized lazily).
-  StampedAccumulator acc_;
 };
 
 }  // namespace ksir

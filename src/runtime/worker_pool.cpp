@@ -5,6 +5,8 @@
 #include <string>
 #include <utility>
 
+#include "common/check.h"
+
 #if defined(__linux__)
 #include <pthread.h>
 #include <sched.h>
@@ -179,6 +181,7 @@ void ParallelRun(WorkerPool* pool, std::size_t n,
     fn(0);
     return;
   }
+  KSIR_CHECK(pool != nullptr);
   // Shared by the caller and the helper tasks. Helpers may still be queued
   // when the call returns (every index already claimed elsewhere); they
   // find the cursor exhausted, touch nothing but the state block, and
@@ -234,6 +237,7 @@ void ParallelRunAffine(WorkerPool* pool, std::size_t participants,
     for (std::size_t u = 0; u < units; ++u) fn(0, u);
     return;
   }
+  KSIR_CHECK(pool != nullptr);
   // Per-unit claim flags replace ParallelRun's shared cursor: participant
   // p claims its strided residue class first (the affinity), then sweeps
   // everything still unclaimed (the steal). A unit is claimed immediately

@@ -188,6 +188,11 @@ class TaskGroup {
 /// TaskGroup::Wait inside a pool task is not. Each index is executed by
 /// exactly one participant; the call returns after every claimed index has
 /// finished, rethrowing the first exception any fn raised.
+///
+/// One-participant contract: with n == 1 the call runs fn(0) inline on
+/// the calling thread and never touches `pool`, which may then be null
+/// (the maintainer's one-participant bucket apply relies on this). With
+/// n >= 2 a null `pool` fails a KSIR_CHECK.
 void ParallelRun(WorkerPool* pool, std::size_t n,
                  std::function<void(std::size_t)> fn);
 
@@ -203,6 +208,11 @@ void ParallelRun(WorkerPool* pool, std::size_t n,
 /// ParallelRun, can complete every unit itself: it never waits on a task
 /// that has not started, which keeps nested fan-out on a busy shared pool
 /// deadlock-free. Rethrows the first exception any fn raised.
+///
+/// One-participant contract: when min(participants, units) <= 1 the call
+/// runs fn(0, u) for u = 0, 1, ... inline on the calling thread and never
+/// touches `pool`, which may then be null. With two or more effective
+/// participants a null `pool` fails a KSIR_CHECK.
 void ParallelRunAffine(WorkerPool* pool, std::size_t participants,
                        std::size_t units,
                        std::function<void(std::size_t, std::size_t)> fn);

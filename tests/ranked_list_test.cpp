@@ -123,9 +123,12 @@ TEST(RankedListIndexTest, EraseClearsAllLists) {
   RankedListIndex index(3);
   RankedList::Handle handles[2];
   index.Insert(1, {{0, 0.9}, {1, 0.5}}, 5, handles);
-  const RankedList::ErasureHint hints[] = {{0, 0.9, handles[0]},
-                                           {1, 0.5, handles[1]}};
-  index.EraseWithHints(1, hints, 2);
+  // An expiry drops the membership row, then each list half by its
+  // carried (score, handle).
+  const TopicId topics[] = {0, 1};
+  index.EraseMembership(1, topics, 2);
+  index.EraseListEntry(0, 1, 0.9, handles[0]);
+  index.EraseListEntry(1, 1, 0.5, handles[1]);
   EXPECT_FALSE(index.Contains(1));
   EXPECT_EQ(index.total_entries(), 0u);
   EXPECT_TRUE(index.list(0).empty());

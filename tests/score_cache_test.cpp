@@ -1,7 +1,7 @@
 // ScoreCache equivalence and staleness-direction tests.
 //
 // The maintenance pipeline with the incremental score source
-// (ScoreMaintenance::kIncremental, serial and staged parallel) must be
+// (ScoreMaintenance::kIncremental, at one participant and at several) must be
 // observationally identical to the from-scratch score source
 // (ScoreMaintenance::kRecompute) after arbitrary Advance sequences —
 // insertions, referrer gains, referrer expiry, element expiry and
@@ -79,15 +79,15 @@ void CheckNaiveRebuild(const KsirEngine& engine, Timestamp t,
 }
 
 /// Feeds the same random stream to four engines bucket by bucket — the
-/// serial pipeline (production default), the PARALLEL staged apply of the
-/// same pipeline (maintenance_threads = 3), the AFFINE flavor of the
-/// parallel apply (maintenance_threads = 4 on an externally shared
-/// CPU-pinned pool: topic-sharded expiry + gather + list apply riding
+/// staged apply with one participant (production default), the same apply
+/// fanned out over three (maintenance_threads = 3), the AFFINE flavor of
+/// the fan-out (maintenance_threads = 4 on an externally shared CPU-pinned
+/// pool: topic-sharded expiry + gather + list apply riding
 /// ParallelRunAffine) and the from-scratch score source — checking
 /// list-state equality after every advance. The three incremental engines
 /// must agree bitwise (they compose identical doubles from the same cache,
-/// and the parallel stages replay the serial per-list operation order
-/// exactly); recompute agrees within kTol. Under kExact every engine also
+/// and every list sees the same operation order at every participant
+/// count); recompute agrees within kTol. Under kExact every engine also
 /// passes the naive-rebuild oracle.
 void RunEquivalenceStream(std::uint64_t seed, RefreshMode mode) {
   Rng rng(seed);
@@ -490,7 +490,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SingletonDifferentialTest,
 TEST(ScoreCacheSlotTest, ExpiryClearsSlotAndResurrectionReseedsIt) {
   // The archived window entry outlives its cache entry: expiry must null
   // the slot, and a resurrection must park the fresh entry there — the
-  // one MTTD then reads. Serial and staged parallel apply alike.
+  // one MTTD then reads. At one participant and at several alike.
   auto model = TopicModel::FromMatrix({{0.5, 0.5}});
   ASSERT_TRUE(model.ok());
   auto mk = [](ElementId id, Timestamp ts, std::vector<ElementId> refs) {

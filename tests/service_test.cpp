@@ -147,6 +147,55 @@ TEST(WorkerPoolTest, PinningIsBestEffortAndAccounted) {
   EXPECT_EQ(count.load(), 32);
 }
 
+TEST(WorkerPoolTest, OneParticipantRunsInlineWithoutAPool) {
+  // One participant never touches the pool, so a null one is allowed: the
+  // maintainer's one-participant bucket apply runs every stage this way.
+  const std::thread::id caller = std::this_thread::get_id();
+  int ran = 0;
+  ParallelRun(nullptr, 1, [&](std::size_t i) {
+    EXPECT_EQ(i, 0u);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    ++ran;
+  });
+  EXPECT_EQ(ran, 1);
+  constexpr std::size_t kUnits = 37;
+  std::vector<int> runs(kUnits, 0);
+  std::vector<std::size_t> order;
+  for (const std::size_t participants : {0u, 1u}) {
+    ParallelRunAffine(nullptr, participants, kUnits,
+                      [&](std::size_t p, std::size_t u) {
+                        EXPECT_EQ(p, 0u);
+                        EXPECT_EQ(std::this_thread::get_id(), caller);
+                        ++runs[u];
+                        order.push_back(u);
+                      });
+  }
+  // More participants than units clamps to one participant per unit.
+  ParallelRunAffine(nullptr, 4, 1, [&](std::size_t p, std::size_t u) {
+    EXPECT_EQ(p, 0u);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    ++runs[u];
+  });
+  for (std::size_t u = 0; u < kUnits; ++u) {
+    EXPECT_EQ(runs[u], u == 0 ? 3 : 2) << "unit " << u;
+    EXPECT_EQ(order[u], u);
+    EXPECT_EQ(order[kUnits + u], u);
+  }
+  // Zero work touches nothing either.
+  ParallelRun(nullptr, 0, [](std::size_t) { ADD_FAILURE(); });
+  ParallelRunAffine(nullptr, 4, 0,
+                    [](std::size_t, std::size_t) { ADD_FAILURE(); });
+}
+
+TEST(WorkerPoolDeathTest, NullPoolWithHelpersFailsACheck) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(ParallelRun(nullptr, 2, [](std::size_t) {}),
+               "pool != nullptr");
+  EXPECT_DEATH(
+      ParallelRunAffine(nullptr, 2, 2, [](std::size_t, std::size_t) {}),
+      "pool != nullptr");
+}
+
 TEST(WorkerPoolTest, ParallelRunAffineExecutesEveryUnitExactlyOnce) {
   WorkerPool pool(3);
   constexpr std::size_t kUnits = 257;  // not a multiple of any stride
@@ -446,8 +495,19 @@ TEST(EngineEpochTest, ExportSnapshotsCarriesInfluenceSets) {
   const auto snapshots = engine.ExportSnapshots({3, 9999});
   ASSERT_EQ(snapshots.size(), 1u);  // unknown ids are skipped
   EXPECT_EQ(snapshots[0].element.id, 3);
-  ASSERT_EQ(snapshots[0].referrers.size(),
-            engine.window().ReferrersOf(3).size());
+  const ReferrerList& referrers = engine.window().ReferrersOf(3);
+  ASSERT_FALSE(referrers.empty());
+  ASSERT_EQ(snapshots[0].referrers.size(), referrers.size());
+  // Each referrer is a copy of the window's element, in ReferrersOf order.
+  for (std::size_t i = 0; i < referrers.size(); ++i) {
+    const SocialElement* expected = engine.window().Find(referrers[i].id);
+    ASSERT_NE(expected, nullptr);
+    const SocialElement& got = snapshots[0].referrers[i];
+    EXPECT_EQ(got.id, expected->id) << "referrer " << i;
+    EXPECT_EQ(got.ts, expected->ts) << "referrer " << i;
+    EXPECT_EQ(got.topics.entries(), expected->topics.entries())
+        << "referrer " << i;
+  }
 }
 
 // ---- service façade --------------------------------------------------------
@@ -924,7 +984,7 @@ TEST(ParallelMaintenanceTest, ChurnStreamMatchesSerialUnderConcurrentQueries) {
   // engine ingests an expiry/resurrection-heavy stream while a reader
   // thread hammers queries (shared lock vs. the exclusive advance that
   // fans out on the pool). The final index and query results must be
-  // bitwise identical to a serial handle engine fed the same stream.
+  // bitwise identical to a one-participant engine fed the same stream.
   constexpr int kTopics = 6;
   Rng rng(1234);
   std::vector<std::vector<double>> matrix(kTopics, std::vector<double>(48));
@@ -1046,8 +1106,8 @@ TEST(ParallelMaintenanceTest, EngineAndServiceShareOneProcessPool) {
   // three threads (plus their callers).
   EXPECT_EQ(pool->num_threads(), 3u);
 
-  // The pool-sharing engine is still bitwise the serial engine, and the
-  // service answers sanely off the same pool.
+  // The pool-sharing engine is still bitwise the one-participant engine,
+  // and the service answers sanely off the same pool.
   KsirQuery query;
   query.k = 4;
   query.epsilon = 0.2;
@@ -1070,7 +1130,8 @@ TEST(ParallelMaintenanceTest, PinnedServiceChurnWithRebalancingMatchesSerial) {
   // rebalancing ingests an expiry + resurrection heavy stream while a
   // reader hammers queries. Routing depends only on the element stream,
   // so the shard engines — and therefore every query — must land exactly
-  // where a serial-maintenance service with the same config lands.
+  // where a one-participant-maintenance service with the same config
+  // lands.
   constexpr int kTopics = 6;
   Rng rng(4321);
   std::vector<std::vector<double>> matrix(kTopics, std::vector<double>(48));

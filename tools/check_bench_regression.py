@@ -5,20 +5,21 @@ Compares the freshly produced BENCH_hotpath.json against the committed
 baseline and fails (exit 1) when a production engine's p50 bucket-update
 latency regressed by more than the threshold. Two paths are gated:
 
-  * the serial production engine ("handle"), always, and
-  * the parallel staged engine ("parallel"), when both documents carry it
-    AND report the same available_cores — the parallel path is
-    bitwise-identical to the serial one by contract, so its wall-clock is
-    a function of the core count and cross-hardware comparisons would
-    gate on the machine, not the code. At mismatched core counts the gate
-    falls back to an IN-RUN overhead bound instead of going dark: the
-    fresh run's parallel p50 may not exceed the fresh run's serial p50 by
+  * the production engine ("handle": the staged apply with one
+    participant, labelled "serial" in the output), always, and
+  * the 4-participant engine ("parallel"), when both documents carry it
+    AND report the same available_cores — it is bitwise-identical to the
+    one-participant engine by contract, so its wall-clock is a function
+    of the core count and cross-hardware comparisons would gate on the
+    machine, not the code. At mismatched core counts the gate falls back
+    to an IN-RUN overhead bound instead of going dark: the fresh run's
+    parallel p50 may not exceed the fresh run's one-participant p50 by
     more than the threshold (a lock slipped into the topic stage or an
     accidentally serialized stage trips this on any hardware).
 
 Additionally, when the fresh document carries a "telemetry" section, its
 IN-RUN counters-on overhead is gated: the fresh run measures the same
-serial engine with telemetry off and at kCounters back to back, and the
+one-participant engine with telemetry off and at kCounters back to back, and the
 overhead may not exceed TELEMETRY_OVERHEAD_LIMIT (2%) on BOTH the p50
 and the total-time estimator — a real per-bucket cost shifts median and
 mean together, while a single estimator above the bound is run-to-run
