@@ -16,6 +16,22 @@
 
 namespace ksir {
 
+namespace {
+
+// A snapshot's copy of a window element: everything but `refs`, which the
+// merge rebuilds from the exported influence sets.
+SocialElement CopyWithoutRefs(const SocialElement& element) {
+  SocialElement copy;
+  copy.id = element.id;
+  copy.ts = element.ts;
+  copy.doc = element.doc;
+  copy.topics = element.topics;
+  copy.raw_text = element.raw_text;
+  return copy;
+}
+
+}  // namespace
+
 std::string_view AlgorithmName(Algorithm algorithm) {
   switch (algorithm) {
     case Algorithm::kMtts:
@@ -286,16 +302,27 @@ std::vector<ElementSnapshot> KsirEngine::ExportSnapshots(
   std::shared_lock lock(mutex_);
   std::vector<ElementSnapshot> snapshots;
   snapshots.reserve(ids.size());
+  std::vector<ElementId> referrer_ids;
+  std::vector<ActiveWindow::ActiveView> referrer_views;
   for (const ElementId id : ids) {
     // One probe resolves the candidate and its referrer list.
     const ActiveWindow::ActiveView view = window_.FindActive(id);
     if (view.element == nullptr) continue;
     ElementSnapshot snapshot;
-    snapshot.element = *view.element;
-    snapshot.referrers.reserve(view.referrers->size());
+    snapshot.element = CopyWithoutRefs(*view.element);
+    // One prefetched batch resolves every referrer.
+    referrer_ids.clear();
     for (const Referrer& referrer : *view.referrers) {
-      const SocialElement* r = window_.Find(referrer.id);
-      if (r != nullptr) snapshot.referrers.push_back(*r);
+      referrer_ids.push_back(referrer.id);
+    }
+    referrer_views.resize(referrer_ids.size());
+    window_.FindActiveBatch(referrer_ids.data(), referrer_ids.size(),
+                            referrer_views.data());
+    snapshot.referrers.reserve(referrer_views.size());
+    for (const ActiveWindow::ActiveView& r : referrer_views) {
+      if (r.element != nullptr) {
+        snapshot.referrers.push_back(CopyWithoutRefs(*r.element));
+      }
     }
     snapshots.push_back(std::move(snapshot));
   }

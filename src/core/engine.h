@@ -121,7 +121,9 @@ bool UsesParallelMaintenance(const EngineConfig& config);
 /// Self-contained export of one active element: the element itself plus its
 /// current in-window referrers (the influenced set I_t(e)). Everything a
 /// remote merge step needs to re-evaluate delta(e, x) without access to this
-/// engine's window.
+/// engine's window. The element and every referrer are exported with an
+/// empty `refs`: the edges that matter are the referrer -> element ones the
+/// referrer list itself states, and the merge rebuilds `refs` from them.
 struct ElementSnapshot {
   SocialElement element;
   std::vector<SocialElement> referrers;

@@ -48,7 +48,9 @@ struct KsirQuery {
 struct QueryStats {
   /// Distinct elements whose score delta(e, x) was computed.
   std::size_t num_evaluated = 0;
-  /// Tuples popped from the ranked lists (MTTS/MTTD/Top-k only).
+  /// Tuples popped from the ranked lists (MTTS/MTTD/Top-k only). MTTS
+  /// counts the elements it processed: the unprocessed tail of its last
+  /// pop block is left out.
   std::size_t num_retrieved = 0;
   /// Marginal-gain evaluations Delta(e | S).
   std::size_t num_gain_evaluations = 0;

@@ -89,10 +89,12 @@ void RankedListCursor::MarkPopped(ElementId id) {
 }
 
 std::size_t RankedListCursor::PopWhileAtLeast(double min_value,
-                                              std::vector<ElementId>* out) {
+                                              std::vector<ElementId>* out,
+                                              std::size_t max_pops,
+                                              std::vector<double>* bounds) {
   if (lists_.empty()) return 0;
   std::size_t popped = 0;
-  while (true) {
+  while (popped < max_pops) {
     // One scan finds both the upper bound and the best head.
     std::size_t argmax = 0;
     const double ub = kernels::WeightedSumArgmax(
@@ -101,6 +103,7 @@ std::size_t RankedListCursor::PopWhileAtLeast(double min_value,
     const ElementId id = lists_[argmax].head().id;
     MarkPopped(id);
     out->push_back(id);
+    if (bounds != nullptr) bounds->push_back(ub);
     ++popped;
   }
   return popped;

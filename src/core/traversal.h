@@ -13,13 +13,16 @@
 // Keys are pulled from each list in blocks via RankedList::DrainTop — one
 // contiguous copy per block instead of a chunk-iterator dereference per
 // pop — and the per-pop merge then runs over the small per-list buffers.
-// PopWhileAtLeast drains whole threshold rounds (the MTTD retrieval loop)
-// in one call.
+// PopWhileAtLeast is the one bulk pop: uncapped it drains a whole MTTD
+// threshold round; capped, and recording the upper bound read before each
+// pop, it feeds VisitWhileAtLeast, the MTTS loop, kPopBlock elements at a
+// time so that each block is resolved with one prefetched window batch.
 #ifndef KSIR_CORE_TRAVERSAL_H_
 #define KSIR_CORE_TRAVERSAL_H_
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -27,12 +30,21 @@
 #include "common/sparse_vector.h"
 #include "common/types.h"
 #include "core/ranked_list.h"
+#include "window/active_window.h"
 
 namespace ksir {
 
 /// Single-query read-only cursor over a RankedListIndex.
 class RankedListCursor {
  public:
+  /// Keys buffered per DrainTop pull: two cache lines of keys amortize the
+  /// chunk walk across pops without holding a stale view for long.
+  static constexpr std::size_t kPullBlock = 32;
+  /// Elements VisitWhileAtLeast pops and resolves per block: enough window
+  /// probes to overlap their misses, few enough that the speculative tail
+  /// popped past MTTS's stopping point stays small.
+  static constexpr std::size_t kPopBlock = 16;
+
   /// `index` and `query` must outlive the cursor; the index must stay
   /// unmodified while the cursor lives.
   RankedListCursor(const RankedListIndex* index, const SparseVector* query);
@@ -49,19 +61,20 @@ class RankedListCursor {
   std::optional<ElementId> PopNext();
 
   /// Pops elements (appending to `out`, in pop order) for as long as the
-  /// cursor is not exhausted and UpperBound() >= `min_value` — one bulk
-  /// call per MTTD threshold round instead of a pop-and-recheck loop.
-  /// Returns how many were popped.
-  std::size_t PopWhileAtLeast(double min_value, std::vector<ElementId>* out);
+  /// cursor is not exhausted, UpperBound() >= `min_value` and fewer than
+  /// `max_pops` were popped by this call — one bulk call per MTTD threshold
+  /// round, or per MTTS block, instead of a pop-and-recheck loop. When
+  /// `bounds` is given, the UpperBound() read just before each pop is
+  /// appended to it, in step with `out`. Returns how many were popped.
+  std::size_t PopWhileAtLeast(
+      double min_value, std::vector<ElementId>* out,
+      std::size_t max_pops = std::numeric_limits<std::size_t>::max(),
+      std::vector<double>* bounds = nullptr);
 
   /// Elements popped so far.
   std::size_t num_retrieved() const { return num_retrieved_; }
 
  private:
-  /// Keys buffered per DrainTop pull: two cache lines of keys amortize the
-  /// chunk walk across pops without holding a stale view for long.
-  static constexpr std::size_t kPullBlock = 32;
-
   struct ListPos {
     TopicId topic;
     double weight;  // x_i
@@ -96,6 +109,47 @@ class RankedListCursor {
   FlatHashSet<ElementId> visited_;
   std::size_t num_retrieved_ = 0;
 };
+
+/// The traversal loop of MTTS (paper Algorithm 2, lines 4-14): for as long
+/// as the cursor is not exhausted and its upper bound is >= `threshold`,
+/// pop the next element and set `threshold = visit(id, view)`, `view` being
+/// the element's window resolution. Returns how many elements were visited.
+///
+/// The cursor is read in blocks of kPopBlock: each block is popped against
+/// the threshold at its start, records the bound seen before each pop, and
+/// is resolved with one ActiveWindow::FindActiveBatch. Before each element
+/// the bound recorded for it is checked against the current threshold; the
+/// first failing check ends the loop and drops the rest of the block. This
+/// visits exactly what the one-pop-at-a-time loop visits, for any sequence
+/// of thresholds `visit` returns: pop order does not depend on the
+/// threshold, and a block cut short by its bound ends the loop only if the
+/// next block, popped against the updated threshold, comes back empty. The
+/// dropped tail is popped (the cursor's num_retrieved() counts it) but
+/// never visited.
+template <typename Visit>
+std::size_t VisitWhileAtLeast(RankedListCursor* cursor,
+                              const ActiveWindow& window, double threshold,
+                              Visit&& visit) {
+  constexpr std::size_t kBlock = RankedListCursor::kPopBlock;
+  std::vector<ElementId> ids;
+  std::vector<double> bounds;
+  ids.reserve(kBlock);
+  bounds.reserve(kBlock);
+  std::array<ActiveWindow::ActiveView, kBlock> views;
+  std::size_t visited = 0;
+  while (true) {
+    ids.clear();
+    bounds.clear();
+    cursor->PopWhileAtLeast(threshold, &ids, kBlock, &bounds);
+    if (ids.empty()) return visited;
+    window.FindActiveBatch(ids.data(), ids.size(), views.data());
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      if (!(bounds[i] >= threshold)) return visited;
+      threshold = visit(ids[i], views[i]);
+      ++visited;
+    }
+  }
+}
 
 }  // namespace ksir
 

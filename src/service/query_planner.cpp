@@ -124,24 +124,21 @@ StatusOr<QueryResult> QueryPlanner::Plan(const KsirQuery& query) const {
   }
 
   // --- Step 2: replay the candidate snapshots into a merge window. ---
-  // Every candidate element is inserted with a rebuilt reference list that
-  // contains exactly the edges referrer -> candidate of its exported
-  // influence set, so the merge window reproduces each shard's I_t(e)
-  // precisely (re-ingesting the raw refs would instead re-register edges
-  // whose referrers already slid out of the shard windows).
+  // Snapshots carry every element with empty refs; each referrer gets a
+  // rebuilt reference list that contains exactly the edges referrer ->
+  // candidate of the exported influence sets, so the merge window
+  // reproduces each shard's I_t(e) precisely (re-ingesting the raw refs
+  // would instead re-register edges whose referrers already slid out of
+  // the shard windows).
   std::unordered_map<ElementId, SocialElement> merge_elements;
   std::vector<ElementId> candidate_ids;
   for (const ShardAnswer& answer : answers) {
     for (const ElementSnapshot& snapshot : answer.snapshots) {
       candidate_ids.push_back(snapshot.element.id);
-      auto [it, inserted] =
-          merge_elements.try_emplace(snapshot.element.id, snapshot.element);
-      if (inserted) it->second.refs.clear();
+      merge_elements.try_emplace(snapshot.element.id, snapshot.element);
       for (const SocialElement& referrer : snapshot.referrers) {
-        auto [rit, r_inserted] =
-            merge_elements.try_emplace(referrer.id, referrer);
-        if (r_inserted) rit->second.refs.clear();
-        rit->second.refs.push_back(snapshot.element.id);
+        merge_elements.try_emplace(referrer.id, referrer)
+            .first->second.refs.push_back(snapshot.element.id);
       }
     }
   }

@@ -1,18 +1,33 @@
 // Tests of the query algorithms against the paper's worked examples
 // (Example 4.1 for MTTS, Example 4.3 for MTTD) plus cross-algorithm
-// consistency and edge cases on the Table 1 fixture.
+// consistency and edge cases on the Table 1 fixture, and a differential
+// test of MTTS's block traversal against the one-pop-at-a-time loop over
+// random streams.
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <map>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/brute_force.h"
+#include "core/candidate_state.h"
 #include "core/celf.h"
 #include "core/engine.h"
 #include "core/mttd.h"
 #include "core/mtts.h"
+#include "core/score_cache.h"
 #include "core/sieve_streaming.h"
 #include "core/topk_representative.h"
+#include "core/traversal.h"
 #include "paper_fixture.h"
+#include "stream_gen.h"
 
 namespace ksir {
 namespace {
@@ -258,6 +273,405 @@ TEST_F(PaperAlgorithmsTest, AlgorithmNamesAreStable) {
             "Top-k Representative");
   EXPECT_EQ(AlgorithmName(Algorithm::kBruteForce), "BruteForce");
   EXPECT_EQ(AlgorithmName(Algorithm::kGreedy), "Greedy");
+}
+
+// ------------------------------------ MTTS blocks vs one pop at a time --
+
+// Paper Algorithm 2 with the traversal one pop at a time: the loop test
+// before every pop, one PopNext and one FindActive per element. The oracle
+// for RunMtts, which reads the cursor in blocks. `final_threshold`
+// receives TH at termination.
+QueryResult RunMttsOneAtATime(const ScoringContext& ctx,
+                              const RankedListIndex& index,
+                              const KsirQuery& query,
+                              double* final_threshold) {
+  struct Candidate {
+    double add_threshold;
+    CandidateState state;
+  };
+  QueryResult result;
+  const double eps = query.epsilon;
+  const double k = static_cast<double>(query.k);
+  const double log1e = std::log1p(eps);
+  const double lambda = ctx.params().lambda;
+  const double influence_factor = ctx.influence_factor();
+
+  RankedListCursor cursor(&index, &query.x);
+  std::map<int, Candidate> candidates;
+  double delta_max = 0.0;
+  double threshold = 0.0;
+  GainTerms terms;
+  std::size_t peak_candidates = 0;
+  while (!cursor.Exhausted() && cursor.UpperBound() >= threshold) {
+    const auto popped = cursor.PopNext();
+    if (!popped.has_value()) break;
+    const ActiveWindow::ActiveView view = ctx.window().FindActive(*popped);
+    const double score = ScoreCache::SingletonScore(
+        ScoreCache::OfActive(view), query.x, lambda, influence_factor);
+    ++result.stats.num_evaluated;
+    if (score > delta_max) {
+      delta_max = score;
+      const int j_lo =
+          static_cast<int>(std::ceil(std::log(delta_max) / log1e - 1e-9));
+      const int j_hi = static_cast<int>(
+          std::floor(std::log(2.0 * k * delta_max) / log1e + 1e-9));
+      std::erase_if(candidates, [&](const auto& kv) {
+        return kv.first < j_lo || kv.first > j_hi;
+      });
+      for (int j = j_lo; j <= j_hi; ++j) {
+        if (!candidates.contains(j)) {
+          candidates.emplace(j, Candidate{std::pow(1.0 + eps, j) / (2.0 * k),
+                                          CandidateState(&ctx, &query.x)});
+        }
+      }
+      peak_candidates = std::max(peak_candidates, candidates.size());
+    }
+    bool resolved = false;
+    for (auto& [j, candidate] : candidates) {
+      if (candidate.state.size() >= static_cast<std::size_t>(query.k)) {
+        continue;
+      }
+      if (score < candidate.add_threshold) continue;
+      if (!resolved) {
+        terms.Resolve(ctx, query.x, *view.element, *view.referrers);
+        resolved = true;
+      }
+      ++result.stats.num_gain_evaluations;
+      if (candidate.state.MarginalGain(terms) >= candidate.add_threshold) {
+        candidate.state.Add(terms);
+      }
+    }
+    threshold = std::numeric_limits<double>::infinity();
+    for (const auto& [j, candidate] : candidates) {
+      if (candidate.state.size() < static_cast<std::size_t>(query.k)) {
+        threshold = candidate.add_threshold;
+        break;
+      }
+    }
+    if (candidates.empty()) threshold = 0.0;
+  }
+  const CandidateState* best = nullptr;
+  for (const auto& [j, candidate] : candidates) {
+    if (best == nullptr || candidate.state.score() > best->score()) {
+      best = &candidate.state;
+    }
+  }
+  if (best != nullptr) {
+    result.element_ids = best->members();
+    result.score = best->score();
+  }
+  result.stats.num_retrieved = cursor.num_retrieved();
+  result.stats.num_candidates_or_rounds = peak_candidates;
+  *final_threshold = threshold;
+  return result;
+}
+
+// The one-pop-at-a-time loop VisitWhileAtLeast must reproduce.
+template <typename Visit>
+std::size_t VisitOneAtATime(RankedListCursor* cursor,
+                            const ActiveWindow& window, double threshold,
+                            Visit&& visit) {
+  std::size_t visited = 0;
+  while (!cursor->Exhausted() && cursor->UpperBound() >= threshold) {
+    const auto id = cursor->PopNext();
+    if (!id.has_value()) break;
+    threshold = visit(*id, window.FindActive(*id));
+    ++visited;
+  }
+  return visited;
+}
+
+constexpr std::size_t kPopBlock = RankedListCursor::kPopBlock;
+constexpr int kStreamTopics = 6;
+
+// A seeded random stream with expiry, references and resurrection,
+// advanced bucket by bucket. The window length and bucket density vary
+// with the seed so |A_t| ranges from a handful of elements to a few
+// hundred.
+class RandomStreamEngine {
+ public:
+  explicit RandomStreamEngine(std::uint64_t seed)
+      : gen_(seed, StreamConfig(seed)) {
+    model_ = std::make_unique<TopicModel>(gen_.MakeModel());
+    EngineConfig config;
+    config.window_length = std::vector<Timestamp>{4, 10, 24}[seed % 3];
+    config.bucket_length = 2;
+    config.scoring.lambda = 0.2 + 0.6 * gen_.rng().NextDouble();
+    config.scoring.eta = 1.0 + 3.0 * gen_.rng().NextDouble();
+    engine_ = std::make_unique<KsirEngine>(config, model_.get());
+  }
+
+  void Advance() {
+    now_ += 2;
+    KSIR_CHECK(engine_->AdvanceTo(now_, gen_.NextBucket(now_)).ok());
+  }
+
+  /// A query vector over exactly `support` distinct topics.
+  SparseVector QueryVector(std::size_t support) {
+    std::vector<TopicId> topics(kStreamTopics);
+    for (std::size_t t = 0; t < topics.size(); ++t) {
+      topics[t] = static_cast<TopicId>(t);
+    }
+    for (std::size_t i = 0; i < support; ++i) {
+      std::swap(topics[i],
+                topics[i + gen_.rng().NextUint64(topics.size() - i)]);
+    }
+    std::vector<std::pair<TopicId, double>> weights;
+    double sum = 0.0;
+    for (std::size_t i = 0; i < support; ++i) {
+      weights.emplace_back(topics[i], 0.05 + gen_.rng().NextDouble());
+      sum += weights.back().second;
+    }
+    for (auto& [topic, weight] : weights) weight /= sum;
+    return SparseVector::FromEntries(weights);
+  }
+
+  const KsirEngine& engine() const { return *engine_; }
+  Timestamp now() const { return now_; }
+
+ private:
+  static testing::StreamGenConfig StreamConfig(std::uint64_t seed) {
+    testing::StreamGenConfig config;
+    config.num_topics = kStreamTopics;
+    config.max_bucket_elements =
+        std::vector<std::size_t>{3, 9, 24}[(seed / 3) % 3];
+    return config;
+  }
+
+  testing::StreamGen gen_;
+  std::unique_ptr<TopicModel> model_;
+  std::unique_ptr<KsirEngine> engine_;
+  Timestamp now_ = 0;
+};
+
+// One RunMtts call next to the oracle's, with what the named cases select
+// on.
+struct MttsOutcome {
+  std::string where;  // seed and query, printed on failure
+  QueryResult blocks;
+  QueryResult oracle;
+  double final_threshold = 0.0;
+  std::size_t active = 0;
+  /// The cursor still had elements when MTTS stopped (it stopped on its
+  /// bound, with a speculative tail popped past the stopping point).
+  bool stopped_on_bound = false;
+};
+
+void ExpectSameRun(const MttsOutcome& o) {
+  SCOPED_TRACE(o.where);
+  EXPECT_EQ(o.blocks.element_ids, o.oracle.element_ids);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(o.blocks.score),
+            std::bit_cast<std::uint64_t>(o.oracle.score))
+      << o.blocks.score << " vs " << o.oracle.score;
+  EXPECT_EQ(o.blocks.stats.num_evaluated, o.oracle.stats.num_evaluated);
+  EXPECT_EQ(o.blocks.stats.num_retrieved, o.oracle.stats.num_retrieved);
+  EXPECT_EQ(o.blocks.stats.num_gain_evaluations,
+            o.oracle.stats.num_gain_evaluations);
+  EXPECT_EQ(o.blocks.stats.num_candidates_or_rounds,
+            o.oracle.stats.num_candidates_or_rounds);
+}
+
+// Seeds 1-18 over 24 buckets, querying every third bucket with every
+// k in {1, 3, 10}, eps in {0.05, 0.1, 0.3} and support of 1-5 topics.
+class MttsBlockDifferentialTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    outcomes_ = new std::vector<MttsOutcome>();
+    for (std::uint64_t seed = 1; seed <= 18; ++seed) {
+      RandomStreamEngine stream(seed);
+      for (int bucket = 1; bucket <= 24; ++bucket) {
+        stream.Advance();
+        if (bucket % 3 != 0) continue;
+        const KsirEngine& engine = stream.engine();
+        for (const int k : {1, 3, 10}) {
+          for (const double eps : {0.05, 0.1, 0.3}) {
+            for (std::size_t support = 1; support <= 5; ++support) {
+              KsirQuery query;
+              query.k = k;
+              query.epsilon = eps;
+              query.x = stream.QueryVector(support);
+              MttsOutcome o;
+              std::ostringstream where;
+              where << "seed " << seed << " t=" << stream.now() << " k=" << k
+                    << " eps=" << eps << " support=" << support;
+              o.where = where.str();
+              o.blocks = RunMtts(engine.scoring(), engine.index(), query);
+              o.oracle = RunMttsOneAtATime(engine.scoring(), engine.index(),
+                                           query, &o.final_threshold);
+              o.active = engine.window().num_active();
+              RankedListCursor cursor(&engine.index(), &query.x);
+              for (std::size_t i = 0; i < o.oracle.stats.num_retrieved; ++i) {
+                cursor.PopNext();
+              }
+              o.stopped_on_bound = !cursor.Exhausted();
+              outcomes_->push_back(std::move(o));
+            }
+          }
+        }
+      }
+    }
+  }
+
+  static void TearDownTestSuite() {
+    delete outcomes_;
+    outcomes_ = nullptr;
+  }
+
+  /// Checks every outcome `select` picks; returns how many it picked.
+  template <typename Select>
+  static std::size_t ExpectSameRuns(Select&& select) {
+    std::size_t checked = 0;
+    for (const MttsOutcome& o : *outcomes_) {
+      if (!select(o)) continue;
+      ExpectSameRun(o);
+      ++checked;
+    }
+    return checked;
+  }
+
+  static std::vector<MttsOutcome>* outcomes_;
+};
+
+std::vector<MttsOutcome>* MttsBlockDifferentialTest::outcomes_ = nullptr;
+
+TEST_F(MttsBlockDifferentialTest, MatchesOneAtATimeOverRandomStreams) {
+  const std::size_t checked =
+      ExpectSameRuns([](const MttsOutcome&) { return true; });
+  EXPECT_EQ(checked, outcomes_->size());
+  EXPECT_GT(checked, 3000u);
+}
+
+TEST_F(MttsBlockDifferentialTest, TerminationLandsMidBlock) {
+  // MTTS stops on its bound inside a block past the first, so the rest of
+  // that block was popped and must not count.
+  EXPECT_GT(ExpectSameRuns([](const MttsOutcome& o) {
+              const std::size_t r = o.oracle.stats.num_retrieved;
+              return o.stopped_on_bound && r > kPopBlock &&
+                     r % kPopBlock != 0;
+            }),
+            50u);
+}
+
+TEST_F(MttsBlockDifferentialTest, ActiveSetSmallerThanOneBlock) {
+  // |A_t| < one block: the first block already exhausts the cursor.
+  EXPECT_GT(ExpectSameRuns([](const MttsOutcome& o) {
+              return o.active > 0 && o.active < kPopBlock;
+            }),
+            50u);
+}
+
+TEST_F(MttsBlockDifferentialTest, ThresholdBecomesInfiniteInFirstBlock) {
+  // Every candidate fills inside the first block (always so for k = 1,
+  // after the first element): TH = infinity ends MTTS mid-block.
+  EXPECT_GT(ExpectSameRuns([](const MttsOutcome& o) {
+              return std::isinf(o.final_threshold) && o.stopped_on_bound &&
+                     o.oracle.stats.num_retrieved < kPopBlock;
+            }),
+            50u);
+}
+
+// MTTS's TH never falls while it runs, so a block that stops short on its
+// bound is always followed by an empty one there. VisitWhileAtLeast is
+// exact for any threshold sequence; drive it with ones that fall and rise.
+TEST(MttsBlockLoopTest, ShortBlockOnBoundThenNextBlockContinues) {
+  std::size_t short_then_continued = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    RandomStreamEngine stream(seed);
+    for (int bucket = 0; bucket < 12; ++bucket) stream.Advance();
+    const KsirEngine& engine = stream.engine();
+    const ActiveWindow& window = engine.window();
+    const SparseVector x = stream.QueryVector(1 + seed % 5);
+
+    // The bounds a full walk reads before each pop.
+    std::vector<double> ubs;
+    {
+      RankedListCursor walk(&engine.index(), &x);
+      while (!walk.Exhausted()) {
+        ubs.push_back(walk.UpperBound());
+        walk.PopNext();
+      }
+    }
+    if (ubs.size() < 2) continue;
+    Rng rng(seed);
+
+    // The first block stops short at the first strict drop of the bound;
+    // the visitor then lowers the threshold to 0 and the next block must
+    // continue. Later thresholds are drawn at, just above and below
+    // recorded bounds, with an occasional infinity.
+    std::size_t first_block = 1;
+    while (first_block < ubs.size() && first_block < kPopBlock &&
+           ubs[first_block] == ubs[first_block - 1]) {
+      ++first_block;
+    }
+    std::vector<double> trajectory(ubs.size());
+    for (std::size_t i = 0; i < trajectory.size(); ++i) {
+      const double ub = ubs[rng.NextUint64(ubs.size())];
+      switch (rng.NextUint64(8)) {
+        case 0:
+          trajectory[i] = 0.0;
+          break;
+        case 1:
+          trajectory[i] = std::nextafter(ub, 0.0);
+          break;
+        case 2:
+          trajectory[i] = std::nextafter(ub, 2.0 * ub + 1.0);
+          break;
+        case 3:
+          trajectory[i] = seed % 4 == 0 ? std::numeric_limits<double>::infinity()
+                                        : 0.0;
+          break;
+        default:
+          trajectory[i] = ubs[std::min(ubs.size() - 1, i + rng.NextUint64(4))];
+          break;
+      }
+    }
+    for (std::size_t i = 0; i + 1 < first_block; ++i) trajectory[i] = ubs[0];
+    trajectory[first_block - 1] = 0.0;
+    const double start = ubs[first_block - 1];
+
+    std::vector<ElementId> want;
+    RankedListCursor single(&engine.index(), &x);
+    const std::size_t want_n = VisitOneAtATime(
+        &single, window, start,
+        [&](ElementId id, const ActiveWindow::ActiveView& view) {
+          EXPECT_EQ(view.element, window.FindActive(id).element);
+          const double next = trajectory[want.size()];
+          want.push_back(id);
+          return next;
+        });
+
+    std::vector<ElementId> got;
+    RankedListCursor blocks(&engine.index(), &x);
+    std::size_t block_start_pops = 0;  // cursor pops before the live block
+    std::size_t live_block_end = 0;    // cursor pops after the live block
+    const std::size_t got_n = VisitWhileAtLeast(
+        &blocks, window, start,
+        [&](ElementId id, const ActiveWindow::ActiveView& view) {
+          EXPECT_EQ(view.element, window.FindActive(id).element);
+          EXPECT_EQ(view.referrers, window.FindActive(id).referrers);
+          if (blocks.num_retrieved() != live_block_end) {
+            // A new block was popped; was the one before it short?
+            if (live_block_end > 0 &&
+                live_block_end - block_start_pops < kPopBlock) {
+              ++short_then_continued;
+            }
+            if (live_block_end == 0) {
+              EXPECT_EQ(blocks.num_retrieved(), first_block);
+            }
+            block_start_pops = live_block_end;
+            live_block_end = blocks.num_retrieved();
+          }
+          const double next = trajectory[got.size()];
+          got.push_back(id);
+          return next;
+        });
+    ASSERT_EQ(got, want);
+    ASSERT_EQ(got_n, want_n);
+    ASSERT_EQ(got_n, got.size());
+    EXPECT_GE(blocks.num_retrieved(), single.num_retrieved());
+  }
+  EXPECT_GT(short_then_continued, 20u);
 }
 
 }  // namespace

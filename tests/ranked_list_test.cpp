@@ -333,6 +333,37 @@ TEST_F(Figure5Test, PopWhileAtLeastMatchesSinglePops) {
     EXPECT_DOUBLE_EQ(bulk.UpperBound(), single.UpperBound());
   }
   EXPECT_TRUE(bulk.Exhausted());
+
+  // Capped, with bounds: blocks of at most two, each bound the
+  // UpperBound() read just before the matching single pop.
+  RankedListCursor capped(&fixture_.engine->index(), &x);
+  RankedListCursor reference(&fixture_.engine->index(), &x);
+  std::vector<ElementId> ids;
+  std::vector<double> bounds;
+  EXPECT_EQ(capped.PopWhileAtLeast(0.0, &ids, 0, &bounds), 0u);
+  EXPECT_TRUE(ids.empty());
+  EXPECT_TRUE(bounds.empty());
+  EXPECT_EQ(capped.num_retrieved(), 0u);
+  for (const double tau : {0.3, 0.2, 0.1, 0.0}) {
+    while (true) {
+      ids.clear();
+      bounds.clear();
+      const std::size_t popped = capped.PopWhileAtLeast(tau, &ids, 2, &bounds);
+      ASSERT_EQ(popped, ids.size());
+      ASSERT_EQ(bounds.size(), ids.size());
+      ASSERT_LE(popped, 2u);
+      for (std::size_t i = 0; i < popped; ++i) {
+        EXPECT_EQ(bounds[i], reference.UpperBound()) << "tau=" << tau;
+        EXPECT_EQ(std::optional<ElementId>(ids[i]), reference.PopNext())
+            << "tau=" << tau;
+      }
+      if (popped < 2) break;
+    }
+    EXPECT_EQ(capped.UpperBound(), reference.UpperBound()) << "tau=" << tau;
+  }
+  EXPECT_TRUE(capped.Exhausted());
+  EXPECT_TRUE(reference.Exhausted());
+  EXPECT_EQ(capped.num_retrieved(), reference.num_retrieved());
 }
 
 TEST(CursorEdgeTest, EmptyIndexIsExhausted) {
@@ -534,6 +565,47 @@ TEST(CursorDifferentialTest, PopsEqualReadvanceAllReference) {
     }
     EXPECT_EQ(bulk_pops, pops);
     EXPECT_EQ(bulk.num_retrieved(), pops);
+
+    // Capped PopWhileAtLeast with bounds, in MTTS-style blocks against a
+    // threshold that falls and rises: caps of 0-4 (0 pops nothing) and
+    // thresholds at, below and above the current upper bound.
+    RankedListCursor capped(&c.index, &c.x);
+    ReadvanceAllCursor capped_reference(c.index, c.x);
+    std::vector<ElementId> ids;
+    std::vector<double> bounds;
+    std::size_t capped_pops = 0;
+    for (int block = 0; block < 1000 && !capped.Exhausted(); ++block) {
+      const std::size_t cap = static_cast<std::size_t>(block % 5);
+      const double ub = capped.UpperBound();
+      const double factors[] = {0.0, 0.5, 1.0, 1.01};
+      const double min_value = ub * factors[(block / 5) % 4];
+      ids.clear();
+      bounds.clear();
+      const std::size_t before = capped.num_retrieved();
+      const std::size_t popped =
+          capped.PopWhileAtLeast(min_value, &ids, cap, &bounds);
+      std::vector<ElementId> want_ids;
+      std::vector<double> want_bounds;
+      while (want_ids.size() < cap &&
+             capped_reference.UpperBound() >= min_value) {
+        const double bound = capped_reference.UpperBound();
+        const auto id = capped_reference.PopNext();
+        if (!id.has_value()) break;
+        want_ids.push_back(*id);
+        want_bounds.push_back(bound);
+      }
+      ASSERT_EQ(popped, ids.size()) << "block " << block;
+      ASSERT_EQ(ids, want_ids) << "block " << block;
+      ASSERT_EQ(bounds, want_bounds) << "block " << block;
+      ASSERT_EQ(capped.num_retrieved(), before + popped) << "block " << block;
+      if (cap == 0) {
+        ASSERT_EQ(popped, 0u) << "block " << block;
+      }
+      capped_pops += popped;
+    }
+    EXPECT_TRUE(capped.Exhausted());
+    EXPECT_EQ(capped_pops, pops);
+    EXPECT_EQ(capped.num_retrieved(), pops);
   }
   // The generator must actually exercise the cursor.
   EXPECT_GT(cases_with_pops, 200u);

@@ -495,6 +495,8 @@ TEST(EngineEpochTest, ExportSnapshotsCarriesInfluenceSets) {
   const auto snapshots = engine.ExportSnapshots({3, 9999});
   ASSERT_EQ(snapshots.size(), 1u);  // unknown ids are skipped
   EXPECT_EQ(snapshots[0].element.id, 3);
+  // refs are not exported: the merge rebuilds them from the referrers.
+  EXPECT_TRUE(snapshots[0].element.refs.empty());
   const ReferrerList& referrers = engine.window().ReferrersOf(3);
   ASSERT_FALSE(referrers.empty());
   ASSERT_EQ(snapshots[0].referrers.size(), referrers.size());
@@ -507,6 +509,8 @@ TEST(EngineEpochTest, ExportSnapshotsCarriesInfluenceSets) {
     EXPECT_EQ(got.ts, expected->ts) << "referrer " << i;
     EXPECT_EQ(got.topics.entries(), expected->topics.entries())
         << "referrer " << i;
+    EXPECT_EQ(got.doc, expected->doc) << "referrer " << i;
+    EXPECT_TRUE(got.refs.empty()) << "referrer " << i;
   }
 }
 
