@@ -13,7 +13,6 @@ void GainTerms::Resolve(const ScoringContext& ctx, const SparseVector& x,
   topics_.clear();
   sigmas_.clear();
   edges_.clear();
-  referrer_topics_.clear();
   for (const Referrer& r : referrers) {
     const SocialElement* referrer = ctx.window().Find(r.id);
     KSIR_DCHECK(referrer != nullptr);
@@ -42,6 +41,7 @@ void GainTerms::Resolve(const ScoringContext& ctx, const SparseVector& x,
     t.edge_end = static_cast<std::uint32_t>(edges_.size());
     topics_.push_back(t);
   }
+  referrer_topics_.clear();
 }
 
 CandidateState::CandidateState(const ScoringContext* ctx,

@@ -14,7 +14,9 @@
 // topic and word, p_i(e -> r) > 0 per query topic and referrer — depend on
 // the element and the query only, never on S. GainTerms resolves them once
 // (one window probe per referrer) so MTTS can share them across all of its
-// candidates and MTTD across a gain check and the Add that follows it.
+// candidates, MTTD across a gain check and the Add that follows it, and the
+// sharded planner across shards: its merge runs CELF over the terms the
+// shards resolved, with no window at all.
 //
 // Every submodular-maximization algorithm in this repository (MTTS, MTTD,
 // CELF, SieveStreaming, brute force) builds on this class, which keeps the
@@ -41,12 +43,18 @@ namespace ksir {
 /// the scan order of the gain formulas: per query topic with x_i > 0, the
 /// element's sigma_i(w, e) > 0 in word order and p_i(e -> r) > 0 in
 /// referral order. Reusable: Resolve keeps the buffers' capacity.
+/// Copyable: the terms are ids and values only, never a pointer into the
+/// window Resolve read, so a copy taken under an engine's lock stays valid
+/// after the lock is released.
 class GainTerms {
  public:
   /// Resolves `e` against `x`; `referrers` is I_t(e). Each referrer's
   /// topic vector is looked up once, not once per topic.
   void Resolve(const ScoringContext& ctx, const SparseVector& x,
                const SocialElement& e, const ReferrerList& referrers);
+
+  /// The element the terms belong to.
+  ElementId id() const { return id_; }
 
  private:
   friend class CandidateState;
@@ -71,7 +79,9 @@ class GainTerms {
   std::vector<TopicTerms> topics_;
   std::vector<std::pair<WordId, double>> sigmas_;    // (w, sigma_i(w, e))
   std::vector<std::pair<ElementId, double>> edges_;  // (r, p_i(e -> r))
-  std::vector<const SparseVector*> referrer_topics_;  // Resolve scratch
+  /// Resolve scratch: the referrers' topic vectors, pointers into the
+  /// window. Emptied before Resolve returns, so no copy carries one.
+  std::vector<const SparseVector*> referrer_topics_;
 };
 
 /// Mutable candidate set with incremental f(S, x) bookkeeping. Not

@@ -27,49 +27,49 @@ struct HeapEntry {
   }
 };
 
-/// Shared lazy-greedy body; `candidates` restricts the ground set when
-/// non-null, otherwise every active element competes.
-QueryResult RunCelfImpl(const ScoringContext& ctx, const ActiveWindow& window,
-                        const KsirQuery& query,
-                        const std::vector<ElementId>* candidates) {
+/// The lazy-greedy selection over a seeded heap, shared by both ground
+/// sets: `input(id)` is what CandidateState scores for `id` (a window
+/// element or its gain terms).
+template <typename Input>
+void SelectLazily(std::priority_queue<HeapEntry>* heap, std::int32_t k,
+                  CandidateState* candidate, QueryStats* stats, Input input) {
+  while (!heap->empty() &&
+         candidate->size() < static_cast<std::size_t>(k)) {
+    const HeapEntry top = heap->top();
+    heap->pop();
+    if (top.cached_gain <= 0.0) break;
+    if (top.stamp == candidate->size()) {
+      candidate->Add(input(top.id));
+    } else {
+      const double gain = candidate->MarginalGain(input(top.id));
+      ++stats->num_gain_evaluations;
+      if (gain > 0.0) heap->push(HeapEntry{gain, top.id, candidate->size()});
+    }
+  }
+}
+
+}  // namespace
+
+QueryResult RunCelf(const ScoringContext& ctx, const ActiveWindow& window,
+                    const KsirQuery& query) {
   KSIR_CHECK(query.k >= 1);
   WallTimer timer;
   QueryResult result;
   CandidateState candidate(&ctx, &query.x);
 
-  // First pass: singleton scores of the ground set.
+  // First pass: singleton scores of every active element.
   std::priority_queue<HeapEntry> heap;
-  const auto seed = [&](const SocialElement& e) {
+  window.ForEachActive([&](const SocialElement& e) {
     const double score = ctx.ElementScore(e, query.x);
     ++result.stats.num_evaluated;
     if (score > 0.0) heap.push(HeapEntry{score, e.id, 0});
-  };
-  if (candidates == nullptr) {
-    window.ForEachActive(seed);
-  } else {
-    for (const ElementId id : *candidates) {
-      const SocialElement* e = window.Find(id);
-      if (e != nullptr) seed(*e);
-    }
-  }
-
-  while (!heap.empty() &&
-         candidate.size() < static_cast<std::size_t>(query.k)) {
-    const HeapEntry top = heap.top();
-    heap.pop();
-    if (top.cached_gain <= 0.0) break;
-    if (top.stamp == candidate.size()) {
-      const SocialElement* e = window.Find(top.id);
-      KSIR_CHECK(e != nullptr);
-      candidate.Add(*e);
-    } else {
-      const SocialElement* e = window.Find(top.id);
-      KSIR_CHECK(e != nullptr);
-      const double gain = candidate.MarginalGain(*e);
-      ++result.stats.num_gain_evaluations;
-      if (gain > 0.0) heap.push(HeapEntry{gain, top.id, candidate.size()});
-    }
-  }
+  });
+  SelectLazily(&heap, query.k, &candidate, &result.stats,
+               [&](ElementId id) -> const SocialElement& {
+                 const SocialElement* e = window.Find(id);
+                 KSIR_CHECK(e != nullptr);
+                 return *e;
+               });
 
   result.element_ids = candidate.members();
   result.score = candidate.score();
@@ -77,17 +77,40 @@ QueryResult RunCelfImpl(const ScoringContext& ctx, const ActiveWindow& window,
   return result;
 }
 
-}  // namespace
+QueryResult RunCelfOverTerms(const ScoringContext& ctx,
+                             const KsirQuery& query,
+                             std::span<const GainTerms> candidates) {
+  KSIR_CHECK(query.k >= 1);
+  KSIR_DCHECK(std::adjacent_find(candidates.begin(), candidates.end(),
+                                 [](const GainTerms& a, const GainTerms& b) {
+                                   return a.id() >= b.id();
+                                 }) == candidates.end());
+  WallTimer timer;
+  QueryResult result;
+  CandidateState candidate(&ctx, &query.x);
 
-QueryResult RunCelf(const ScoringContext& ctx, const ActiveWindow& window,
-                    const KsirQuery& query) {
-  return RunCelfImpl(ctx, window, query, nullptr);
-}
+  // First pass: singleton scores, the terms' gains against the empty set.
+  std::priority_queue<HeapEntry> heap;
+  for (const GainTerms& terms : candidates) {
+    const double score = candidate.MarginalGain(terms);
+    ++result.stats.num_evaluated;
+    if (score > 0.0) heap.push(HeapEntry{score, terms.id(), 0});
+  }
+  SelectLazily(&heap, query.k, &candidate, &result.stats,
+               [&](ElementId id) -> const GainTerms& {
+                 const auto it = std::lower_bound(
+                     candidates.begin(), candidates.end(), id,
+                     [](const GainTerms& t, ElementId v) {
+                       return t.id() < v;
+                     });
+                 KSIR_CHECK(it != candidates.end() && it->id() == id);
+                 return *it;
+               });
 
-QueryResult RunCelfOverCandidates(
-    const ScoringContext& ctx, const ActiveWindow& window,
-    const KsirQuery& query, const std::vector<ElementId>& candidate_ids) {
-  return RunCelfImpl(ctx, window, query, &candidate_ids);
+  result.element_ids = candidate.members();
+  result.score = candidate.score();
+  result.stats.elapsed_ms = timer.ElapsedMillis();
+  return result;
 }
 
 QueryResult RunGreedy(const ScoringContext& ctx, const ActiveWindow& window,

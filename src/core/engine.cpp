@@ -16,22 +16,6 @@
 
 namespace ksir {
 
-namespace {
-
-// A snapshot's copy of a window element: everything but `refs`, which the
-// merge rebuilds from the exported influence sets.
-SocialElement CopyWithoutRefs(const SocialElement& element) {
-  SocialElement copy;
-  copy.id = element.id;
-  copy.ts = element.ts;
-  copy.doc = element.doc;
-  copy.topics = element.topics;
-  copy.raw_text = element.raw_text;
-  return copy;
-}
-
-}  // namespace
-
 std::string_view AlgorithmName(Algorithm algorithm) {
   switch (algorithm) {
     case Algorithm::kMtts:
@@ -258,6 +242,49 @@ Status KsirEngine::Append(std::vector<SocialElement> elements) {
 StatusOr<QueryResult> KsirEngine::Query(const KsirQuery& query) const {
   KSIR_RETURN_NOT_OK(ValidateQuery(query));
   std::shared_lock lock(mutex_);
+  return RunLocked(query);
+}
+
+StatusOr<QueryResult> KsirEngine::QueryWithTerms(
+    const KsirQuery& query, std::vector<GainTerms>* member_terms) const {
+  KSIR_RETURN_NOT_OK(ValidateQuery(query));
+  std::shared_lock lock(mutex_);
+  StatusOr<QueryResult> result = RunLocked(query);
+  if (result.ok()) {
+    // Resolved after the run, so every algorithm is served alike and the
+    // algorithms' own loops stay as they are.
+    ExportTermsLocked(query.x, result->element_ids, member_terms);
+  }
+  return result;
+}
+
+std::vector<GainTerms> KsirEngine::ExportTerms(
+    const SparseVector& x, const std::vector<ElementId>& ids) const {
+  std::shared_lock lock(mutex_);
+  std::vector<GainTerms> terms;
+  ExportTermsLocked(x, ids, &terms);
+  return terms;
+}
+
+void KsirEngine::ExportTermsLocked(const SparseVector& x,
+                                   const std::vector<ElementId>& ids,
+                                   std::vector<GainTerms>* out) const {
+  // One prefetched batch resolves every element and its referrer list;
+  // each element's terms are resolved into one reused buffer and copied
+  // out at their exact size.
+  std::vector<ActiveWindow::ActiveView> views(ids.size());
+  window_.FindActiveBatch(ids.data(), ids.size(), views.data());
+  out->clear();
+  out->reserve(ids.size());
+  GainTerms scratch;
+  for (const ActiveWindow::ActiveView& view : views) {
+    if (view.element == nullptr) continue;
+    scratch.Resolve(scoring_, x, *view.element, *view.referrers);
+    out->push_back(scratch);
+  }
+}
+
+StatusOr<QueryResult> KsirEngine::RunLocked(const KsirQuery& query) const {
   switch (query.algorithm) {
     case Algorithm::kMtts:
       return RunMtts(scoring_, index_, query);
@@ -295,38 +322,6 @@ AdvanceSummary KsirEngine::last_advance_summary() const {
 std::size_t KsirEngine::num_active() const {
   std::shared_lock lock(mutex_);
   return window_.num_active();
-}
-
-std::vector<ElementSnapshot> KsirEngine::ExportSnapshots(
-    const std::vector<ElementId>& ids) const {
-  std::shared_lock lock(mutex_);
-  std::vector<ElementSnapshot> snapshots;
-  snapshots.reserve(ids.size());
-  std::vector<ElementId> referrer_ids;
-  std::vector<ActiveWindow::ActiveView> referrer_views;
-  for (const ElementId id : ids) {
-    // One probe resolves the candidate and its referrer list.
-    const ActiveWindow::ActiveView view = window_.FindActive(id);
-    if (view.element == nullptr) continue;
-    ElementSnapshot snapshot;
-    snapshot.element = CopyWithoutRefs(*view.element);
-    // One prefetched batch resolves every referrer.
-    referrer_ids.clear();
-    for (const Referrer& referrer : *view.referrers) {
-      referrer_ids.push_back(referrer.id);
-    }
-    referrer_views.resize(referrer_ids.size());
-    window_.FindActiveBatch(referrer_ids.data(), referrer_ids.size(),
-                            referrer_views.data());
-    snapshot.referrers.reserve(referrer_views.size());
-    for (const ActiveWindow::ActiveView& r : referrer_views) {
-      if (r.element != nullptr) {
-        snapshot.referrers.push_back(CopyWithoutRefs(*r.element));
-      }
-    }
-    snapshots.push_back(std::move(snapshot));
-  }
-  return snapshots;
 }
 
 MaintenanceStats KsirEngine::maintenance_stats() const {

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/candidate_state.h"
 #include "core/index_maintainer.h"
 #include "core/query.h"
 #include "core/ranked_list.h"
@@ -118,17 +119,6 @@ Status ValidateQuery(const KsirQuery& query);
 /// (maintenance_threads >= 2).
 bool UsesParallelMaintenance(const EngineConfig& config);
 
-/// Self-contained export of one active element: the element itself plus its
-/// current in-window referrers (the influenced set I_t(e)). Everything a
-/// remote merge step needs to re-evaluate delta(e, x) without access to this
-/// engine's window. The element and every referrer are exported with an
-/// empty `refs`: the edges that matter are the referrer -> element ones the
-/// referrer list itself states, and the merge rebuilds `refs` from them.
-struct ElementSnapshot {
-  SocialElement element;
-  std::vector<SocialElement> referrers;
-};
-
 class WorkerPool;
 
 /// Streaming k-SIR query engine.
@@ -173,6 +163,20 @@ class KsirEngine {
   /// queries; blocks AdvanceTo.
   StatusOr<QueryResult> Query(const KsirQuery& query) const;
 
+  /// Query, plus the gain terms of every result member against `query.x`,
+  /// resolved under the same shared lock: (*member_terms)[i] belongs to
+  /// element_ids[i]. The terms hold no pointer into this engine, so a
+  /// caller may merge them with other engines' after the lock is released
+  /// (the sharded planner's merge step).
+  StatusOr<QueryResult> QueryWithTerms(
+      const KsirQuery& query, std::vector<GainTerms>* member_terms) const;
+
+  /// Gain terms of the active elements among `ids` against `x`, in `ids`
+  /// order, under the query (shared) lock; ids that are not active are
+  /// skipped.
+  std::vector<GainTerms> ExportTerms(const SparseVector& x,
+                                     const std::vector<ElementId>& ids) const;
+
   /// Current engine clock.
   Timestamp now() const;
 
@@ -197,14 +201,6 @@ class KsirEngine {
   /// else the engine-owned one).
   Telemetry& telemetry() const { return *telemetry_; }
 
-  /// Const-safe bulk export under the query (shared) lock: snapshots of the
-  /// requested elements with their in-window referrer sets. Ids that are not
-  /// active at call time are silently skipped, so callers racing AdvanceTo
-  /// should verify bucket_epoch() did not move across the Query + Export
-  /// pair and retry when it did.
-  std::vector<ElementSnapshot> ExportSnapshots(
-      const std::vector<ElementId>& ids) const;
-
   /// Read access for tests / benches (not thread-safe against AdvanceTo).
   const ActiveWindow& window() const { return window_; }
   const RankedListIndex& index() const { return index_; }
@@ -213,6 +209,14 @@ class KsirEngine {
   MaintenanceStats maintenance_stats() const;
 
  private:
+  /// Runs `query`'s algorithm; the caller holds mutex_ (shared).
+  StatusOr<QueryResult> RunLocked(const KsirQuery& query) const;
+
+  /// ExportTerms' body; the caller holds mutex_ (shared).
+  void ExportTermsLocked(const SparseVector& x,
+                         const std::vector<ElementId>& ids,
+                         std::vector<GainTerms>* out) const;
+
   EngineConfig config_;
   ActiveWindow window_;
   RankedListIndex index_;

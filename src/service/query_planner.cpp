@@ -1,53 +1,29 @@
 #include "service/query_planner.h"
 
 #include <algorithm>
+#include <iterator>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "common/check.h"
 #include "common/timer.h"
 #include "core/celf.h"
-#include "core/scoring.h"
-#include "window/active_window.h"
 
 namespace ksir {
 
 namespace {
 
-/// One shard's contribution to a plan.
+/// One shard's contribution to a plan: its answer and its members' terms.
 struct ShardAnswer {
   Status status;
   QueryResult result;
-  std::vector<ElementSnapshot> snapshots;
+  std::vector<GainTerms> terms;
 };
 
-/// Runs the Query + ExportSnapshots pair against `shard`, retrying when a
-/// bucket advance tears the pair apart (detected via the bucket epoch).
-ShardAnswer AskShard(const KsirEngine& shard, const KsirQuery& query,
-                     std::int64_t* retries) {
-  static constexpr int kMaxAttempts = 3;
-  ShardAnswer answer;
-  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-    const std::uint64_t epoch_before = shard.bucket_epoch();
-    auto result = shard.Query(query);
-    if (!result.ok()) {
-      answer.status = result.status();
-      return answer;
-    }
-    answer.result = *std::move(result);
-    answer.snapshots = shard.ExportSnapshots(answer.result.element_ids);
-    const bool torn =
-        shard.bucket_epoch() != epoch_before ||
-        answer.snapshots.size() != answer.result.element_ids.size();
-    if (!torn) break;
-    if (attempt + 1 < kMaxAttempts) ++*retries;
-    // After the last attempt the (possibly partial) snapshots are used as
-    // is: a missing candidate just expired, so dropping it is consistent
-    // with the state the merge window represents.
-  }
-  answer.status = Status::OK();
-  return answer;
+/// The scoring parameters every shard shares.
+const ScoringParams& SharedScoring(const std::vector<KsirEngine*>& shards) {
+  KSIR_CHECK(!shards.empty());
+  return shards.front()->config().scoring;
 }
 
 }  // namespace
@@ -56,19 +32,18 @@ QueryPlanner::QueryPlanner(std::vector<KsirEngine*> shards,
                            const TopicModel* model, WorkerPool* pool,
                            Telemetry* telemetry)
     : shards_(std::move(shards)),
-      model_(model),
       pool_(pool),
+      merge_ctx_(model, &empty_window_, SharedScoring(shards_)),
       owned_telemetry_(telemetry == nullptr ? std::make_unique<Telemetry>()
                                             : nullptr),
       telemetry_(telemetry != nullptr ? telemetry : owned_telemetry_.get()) {
-  KSIR_CHECK(!shards_.empty());
-  KSIR_CHECK(model_ != nullptr && pool_ != nullptr);
+  KSIR_CHECK(pool_ != nullptr);
   MetricRegistry& reg = telemetry_->registry();
   plans_counter_ = reg.GetCounter("ksir_planner_plans_total",
                                   "Fan-out/merge plans executed");
   epoch_retries_counter_ = reg.GetCounter(
       "ksir_planner_epoch_retries_total",
-      "Per-shard query/export pairs re-run because a bucket landed between");
+      "Always 0: each shard answers under one lock, so nothing is re-run");
   merge_wins_counter_ = reg.GetCounter(
       "ksir_planner_merge_wins_total",
       "Plans where the merged set beat every single-shard result");
@@ -79,12 +54,12 @@ QueryPlanner::QueryPlanner(std::vector<KsirEngine*> shards,
                                 "One whole QueryPlanner::Plan");
   merge_hist_ = reg.GetHistogram(
       "ksir_planner_merge_seconds",
-      "Merge step: snapshot replay window + CELF over candidates");
+      "Merge step: CELF over the shards' resolved gain terms");
   shard_fanout_hists_.reserve(shards_.size());
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     shard_fanout_hists_.push_back(reg.GetHistogram(
         "ksir_planner_shard_fanout_seconds_" + std::to_string(i),
-        "Query + snapshot export latency of shard " + std::to_string(i)));
+        "Query + gain-term export latency of shard " + std::to_string(i)));
   }
 }
 
@@ -98,21 +73,25 @@ StatusOr<QueryResult> QueryPlanner::Plan(const KsirQuery& query) const {
 
   // --- Step 1: fan the query out to every shard in parallel. ---
   std::vector<ShardAnswer> answers(shards_.size());
-  std::vector<std::int64_t> retries(shards_.size(), 0);
   {
     TaskGroup group(pool_);
     for (std::size_t i = 0; i < shards_.size(); ++i) {
-      group.Submit([this, i, &query, &answers, &retries]() {
+      group.Submit([this, i, &query, &answers]() {
         StageScope scope(telemetry_, shard_fanout_hists_[i],
                          "planner.fanout");
-        answers[i] = AskShard(*shards_[i], query, &retries[i]);
+        ShardAnswer& answer = answers[i];
+        auto result = shards_[i]->QueryWithTerms(query, &answer.terms);
+        if (result.ok()) {
+          answer.result = *std::move(result);
+        } else {
+          answer.status = result.status();
+        }
       });
     }
     group.Wait();
   }
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    KSIR_RETURN_NOT_OK(answers[i].status);
-    if (retries[i] > 0) epoch_retries_counter_->Add(retries[i]);
+  for (const ShardAnswer& answer : answers) {
+    KSIR_RETURN_NOT_OK(answer.status);
   }
 
   // Best single-shard answer: the guard result the merge has to beat.
@@ -123,50 +102,22 @@ StatusOr<QueryResult> QueryPlanner::Plan(const KsirQuery& query) const {
     }
   }
 
-  // --- Step 2: replay the candidate snapshots into a merge window. ---
-  // Snapshots carry every element with empty refs; each referrer gets a
-  // rebuilt reference list that contains exactly the edges referrer ->
-  // candidate of the exported influence sets, so the merge window
-  // reproduces each shard's I_t(e) precisely (re-ingesting the raw refs
-  // would instead re-register edges whose referrers already slid out of
-  // the shard windows).
-  std::unordered_map<ElementId, SocialElement> merge_elements;
-  std::vector<ElementId> candidate_ids;
-  for (const ShardAnswer& answer : answers) {
-    for (const ElementSnapshot& snapshot : answer.snapshots) {
-      candidate_ids.push_back(snapshot.element.id);
-      merge_elements.try_emplace(snapshot.element.id, snapshot.element);
-      for (const SocialElement& referrer : snapshot.referrers) {
-        merge_elements.try_emplace(referrer.id, referrer)
-            .first->second.refs.push_back(snapshot.element.id);
-      }
-    }
+  // --- Step 2: CELF over the <= N*k candidates' gain terms. ---
+  // Shards partition the stream, so candidate ids are distinct, and the
+  // influence coverage across shards stays keyed by global referrer id.
+  std::vector<GainTerms> candidates;
+  for (ShardAnswer& answer : answers) {
+    std::move(answer.terms.begin(), answer.terms.end(),
+              std::back_inserter(candidates));
   }
-
   QueryResult merged;
-  if (!merge_elements.empty()) {
+  if (!candidates.empty()) {
     StageScope merge_scope(telemetry_, merge_hist_, "planner.merge");
-    std::vector<SocialElement> replay;
-    replay.reserve(merge_elements.size());
-    Timestamp max_ts = 0;
-    for (auto& [id, element] : merge_elements) {
-      max_ts = std::max(max_ts, element.ts);
-      replay.push_back(std::move(element));
-    }
-    std::sort(replay.begin(), replay.end(),
-              [](const SocialElement& a, const SocialElement& b) {
-                return a.ts != b.ts ? a.ts < b.ts : a.id < b.id;
+    std::sort(candidates.begin(), candidates.end(),
+              [](const GainTerms& a, const GainTerms& b) {
+                return a.id() < b.id();
               });
-    // A window as long as the whole replayed history: nothing expires, so
-    // every candidate keeps its full exported influence set.
-    ActiveWindow merge_window(max_ts);
-    auto update = merge_window.Advance(max_ts, std::move(replay));
-    KSIR_RETURN_NOT_OK(update.status());
-    const ScoringContext merge_ctx(model_, &merge_window,
-                                   shards_.front()->config().scoring);
-    std::sort(candidate_ids.begin(), candidate_ids.end());
-    merged =
-        RunCelfOverCandidates(merge_ctx, merge_window, query, candidate_ids);
+    merged = RunCelfOverTerms(merge_ctx_, query, candidates);
   }
 
   // --- Step 3: never return less than the best single shard. ---

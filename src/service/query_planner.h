@@ -4,20 +4,22 @@
 // distributed submodular maximization, à la GreeDi):
 //   1. Fan-out: the query runs on every shard in parallel (each shard sees
 //      only its partition, so per-shard work is ~1/N of a single engine's);
-//      each shard returns its k-element result plus self-contained
-//      snapshots (element + in-window referrer set) of those elements.
-//   2. Merge: the <= N*k candidate snapshots are replayed into a small
-//      in-memory window that reproduces each candidate's exact influence
-//      set, and a lazy greedy (CELF) runs over just those candidates.
+//      each shard returns its k-element result plus the gain terms of those
+//      elements (sigma_i(w, e) and p_i(e -> r), the S-independent inputs of
+//      every marginal gain; see GainTerms), resolved under the same shared
+//      lock as the query.
+//   2. Merge: a lazy greedy (CELF) runs over the <= N*k candidates' terms.
+//      No element is copied and no window is rebuilt: the terms alone give
+//      every gain, with influence coverage keyed by global referrer id.
 //   3. Guard: the merged set is only returned when it beats the best
 //      single-shard result; otherwise that shard's result is returned
 //      verbatim. This keeps the classic guarantee: the answer is never
 //      worse than the best partition's (1 - 1/e)-approximate answer, and
 //      with one shard it is exactly the single-engine answer.
 //
-// Shards keep ingesting while queries run: the per-shard Query + snapshot
-// export pair is validated against the shard's bucket epoch and retried
-// when a bucket lands in between.
+// Shards keep ingesting while queries run. Each shard's query and term
+// export take one shared lock, so a bucket cannot land between them and
+// there is nothing to validate or retry.
 #ifndef KSIR_SERVICE_QUERY_PLANNER_H_
 #define KSIR_SERVICE_QUERY_PLANNER_H_
 
@@ -28,9 +30,11 @@
 #include "common/status.h"
 #include "core/engine.h"
 #include "core/query.h"
+#include "core/scoring.h"
 #include "runtime/worker_pool.h"
 #include "telemetry/telemetry.h"
 #include "topic/topic_model.h"
+#include "window/active_window.h"
 
 namespace ksir {
 
@@ -38,7 +42,8 @@ namespace ksir {
 /// counters (`ksir_planner_*_total`).
 struct PlannerStats {
   std::int64_t plans = 0;
-  /// Query/export pairs re-run because a bucket landed in between.
+  /// Always 0: each shard's query and term export share one lock, so no
+  /// pair is ever re-run. Kept for exposition compatibility.
   std::int64_t epoch_retries = 0;
   /// Plans where the merged set beat every single-shard result.
   std::int64_t merge_wins = 0;
@@ -53,8 +58,8 @@ class QueryPlanner {
   /// `shards`, `model` and `pool` must outlive the planner; `shards` must
   /// be non-empty and share the model and scoring parameters. `telemetry`
   /// (optional, must outlive the planner) receives the plan counters, the
-  /// whole-plan / merge-window histograms and one fan-out latency
-  /// histogram per shard; null gives the planner a private kOff Telemetry.
+  /// whole-plan / merge histograms and one fan-out latency histogram per
+  /// shard; null gives the planner a private kOff Telemetry.
   QueryPlanner(std::vector<KsirEngine*> shards, const TopicModel* model,
                WorkerPool* pool, Telemetry* telemetry = nullptr);
 
@@ -67,8 +72,11 @@ class QueryPlanner {
 
  private:
   std::vector<KsirEngine*> shards_;
-  const TopicModel* model_;
   WorkerPool* pool_;
+  /// The merge's scoring context: the shards' lambda and eta over a window
+  /// that stays empty, since the merge reads gains from terms only.
+  ActiveWindow empty_window_{1};
+  ScoringContext merge_ctx_;
   /// Fallback Telemetry (kOff) owned when none was passed.
   std::unique_ptr<Telemetry> owned_telemetry_;
   Telemetry* telemetry_;

@@ -323,6 +323,42 @@ TEST_P(RandomInstanceTest, RankedListsConsistentWithDirectScores) {
   EXPECT_EQ(checked, index.total_entries());
 }
 
+TEST_P(RandomInstanceTest, SingletonFromExportedTermsEqualsElementScore) {
+  // The sharded planner's merge seeds CELF with each candidate's gain on
+  // the empty set, taken from exported terms; it must equal delta(e, x)
+  // (within rounding: ElementScore factors the semantic sum differently).
+  RandomInstance inst = MakeRandomInstance(GetParam(), /*num_elements=*/24);
+  const KsirEngine& engine = *inst.engine;
+  const ScoringContext& ctx = engine.scoring();
+  const std::vector<ElementId> ids = engine.window().ActiveIds();
+  Rng rng(GetParam() ^ 0x51e7);
+  std::size_t with_referrers = 0;
+  for (int q = 0; q < 6; ++q) {
+    // The instance's query, then random weights over a random support.
+    std::vector<SparseVector::Entry> entries;
+    for (TopicId topic = 0; topic < kNumTopics; ++topic) {
+      if (rng.NextDouble() < 0.6) {
+        entries.emplace_back(topic, 2.0 * rng.NextDouble());
+      }
+    }
+    const SparseVector x =
+        q == 0 || entries.empty() ? inst.query
+                                  : SparseVector::FromEntries(entries);
+    const std::vector<GainTerms> terms = engine.ExportTerms(x, ids);
+    ASSERT_EQ(terms.size(), ids.size()) << "seed " << GetParam();
+    for (const GainTerms& t : terms) {
+      const SocialElement* e = engine.window().Find(t.id());
+      ASSERT_NE(e, nullptr);
+      const CandidateState empty(&ctx, &x);
+      EXPECT_NEAR(empty.MarginalGain(t), ctx.ElementScore(*e, x), 1e-9)
+          << "seed " << GetParam() << " query " << q << " element "
+          << t.id();
+      if (!engine.window().ReferrersOf(t.id()).empty()) ++with_referrers;
+    }
+  }
+  EXPECT_GT(with_referrers, 0u) << "seed " << GetParam();
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomInstanceTest,
                          ::testing::Range<std::uint64_t>(1, 13));
 

@@ -7,15 +7,21 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <queue>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
 
 #include <gtest/gtest.h>
 
+#include "core/candidate_state.h"
 #include "core/engine.h"
+#include "core/scoring.h"
 #include "paper_fixture.h"
 #include "service/result_cache.h"
 #include "service/service.h"
@@ -487,31 +493,60 @@ TEST(EngineEpochTest, CreateValidatesConfig) {
   EXPECT_TRUE((*engine)->Append(PaperElements()).ok());
 }
 
-TEST(EngineEpochTest, ExportSnapshotsCarriesInfluenceSets) {
+TEST(EngineEpochTest, ExportedTermsMatchTermsResolvedAgainstTheWindow) {
   auto model = PaperTopicModel();
   KsirEngine engine(PaperEngineConfig(), &model);
   ASSERT_TRUE(engine.Append(PaperElements()).ok());
-  // At t = 8: e3 is referenced by e8 (e4/e6's referrals expired with them).
-  const auto snapshots = engine.ExportSnapshots({3, 9999});
-  ASSERT_EQ(snapshots.size(), 1u);  // unknown ids are skipped
-  EXPECT_EQ(snapshots[0].element.id, 3);
-  // refs are not exported: the merge rebuilds them from the referrers.
-  EXPECT_TRUE(snapshots[0].element.refs.empty());
-  const ReferrerList& referrers = engine.window().ReferrersOf(3);
-  ASSERT_FALSE(referrers.empty());
-  ASSERT_EQ(snapshots[0].referrers.size(), referrers.size());
-  // Each referrer is a copy of the window's element, in ReferrersOf order.
-  for (std::size_t i = 0; i < referrers.size(); ++i) {
-    const SocialElement* expected = engine.window().Find(referrers[i].id);
-    ASSERT_NE(expected, nullptr);
-    const SocialElement& got = snapshots[0].referrers[i];
-    EXPECT_EQ(got.id, expected->id) << "referrer " << i;
-    EXPECT_EQ(got.ts, expected->ts) << "referrer " << i;
-    EXPECT_EQ(got.topics.entries(), expected->topics.entries())
-        << "referrer " << i;
-    EXPECT_EQ(got.doc, expected->doc) << "referrer " << i;
-    EXPECT_TRUE(got.refs.empty()) << "referrer " << i;
+  const ActiveWindow& window = engine.window();
+  const ScoringContext& ctx = engine.scoring();
+  const SparseVector x = BalancedQueryVector();
+  const auto local_terms = [&](ElementId id) {
+    GainTerms terms;
+    terms.Resolve(ctx, x, *window.Find(id), window.ReferrersOf(id));
+    return terms;
+  };
+
+  // At t = 8: e3 is referenced by e8; e4 expired; 9999 was never ingested.
+  ASSERT_FALSE(window.IsActive(4));
+  ASSERT_FALSE(window.ReferrersOf(3).empty());
+  const std::vector<GainTerms> exported = engine.ExportTerms(x, {4, 3, 9999});
+  ASSERT_EQ(exported.size(), 1u);  // unknown and expired ids are skipped
+  EXPECT_EQ(exported[0].id(), 3);
+
+  // Bit-equal gains and additions against a fresh state, and against one
+  // that already holds e1 (which shares no referrer with e3).
+  const GainTerms local = local_terms(3);
+  for (const bool seeded : {false, true}) {
+    CandidateState from_export(&ctx, &x);
+    CandidateState from_window(&ctx, &x);
+    if (seeded) {
+      from_export.Add(local_terms(1));
+      from_window.Add(local_terms(1));
+    }
+    EXPECT_EQ(from_export.MarginalGain(exported[0]),
+              from_window.MarginalGain(local))
+        << "seeded " << seeded;
+    EXPECT_EQ(from_export.Add(exported[0]), from_window.Add(local))
+        << "seeded " << seeded;
+    EXPECT_EQ(from_export.score(), from_window.score()) << "seeded " << seeded;
   }
+
+  // QueryWithTerms returns one term set per member, in member order.
+  KsirQuery query;
+  query.k = 2;
+  query.x = x;
+  std::vector<GainTerms> member_terms;
+  const auto result = engine.QueryWithTerms(query, &member_terms);
+  ASSERT_TRUE(result.ok());
+  // MTTD adds e3 first.
+  EXPECT_EQ(result->element_ids, (std::vector<ElementId>{3, 1}));
+  ASSERT_EQ(member_terms.size(), result->element_ids.size());
+  CandidateState replayed(&ctx, &x);
+  for (std::size_t i = 0; i < member_terms.size(); ++i) {
+    EXPECT_EQ(member_terms[i].id(), result->element_ids[i]);
+    replayed.Add(member_terms[i]);
+  }
+  EXPECT_EQ(replayed.score(), result->score);
 }
 
 // ---- service façade --------------------------------------------------------
@@ -845,6 +880,252 @@ TEST_F(PlannerPropertyTest, StandingQueriesRunAfterEachBucket) {
   ASSERT_TRUE(service_->AdvanceTo(next, {}).ok());
   ASSERT_EQ(changes.size(), 2u);
   EXPECT_TRUE(changes[0]);  // first evaluation always reports a change
+}
+
+// ---- terms merge vs the snapshot replay it replaced -----------------------
+
+// A window element without its refs: the replay rebuilds each referrer's
+// refs from the influence sets.
+SocialElement CopyWithoutRefs(const SocialElement& element) {
+  SocialElement copy;
+  copy.id = element.id;
+  copy.ts = element.ts;
+  copy.doc = element.doc;
+  copy.topics = element.topics;
+  return copy;
+}
+
+struct ReplayAnswer {
+  std::vector<ElementId> ids;
+  double score = 0.0;
+  bool merge_won = false;
+};
+
+// The planner's former export-and-replay merge, kept as the oracle of the
+// terms merge. Each shard's members and their in-window referrers are
+// copied out of the shard window, replayed by (ts, id) into one merge
+// window where every referrer refers to exactly the members it influences,
+// and a lazy greedy over the members rescores them through that window;
+// the best-shard guard then applies as in QueryPlanner::Plan.
+ReplayAnswer ReplayMerge(const KsirService& service, const TopicModel& model,
+                         const ScoringParams& params, const KsirQuery& query) {
+  std::unordered_map<ElementId, SocialElement> merge_elements;
+  std::vector<ElementId> candidate_ids;
+  QueryResult best;
+  for (std::size_t s = 0; s < service.num_shards(); ++s) {
+    const KsirEngine& shard = service.shard(s);
+    auto result = shard.Query(query);
+    KSIR_CHECK(result.ok());
+    for (const ElementId id : result->element_ids) {
+      candidate_ids.push_back(id);
+      merge_elements.try_emplace(id, CopyWithoutRefs(*shard.window().Find(id)));
+      for (const Referrer& r : shard.window().ReferrersOf(id)) {
+        const SocialElement* referrer = shard.window().Find(r.id);
+        KSIR_CHECK(referrer != nullptr);
+        merge_elements.try_emplace(r.id, CopyWithoutRefs(*referrer))
+            .first->second.refs.push_back(id);
+      }
+    }
+    if (s == 0 || result->score > best.score) best = *std::move(result);
+  }
+
+  std::vector<SocialElement> replay;
+  Timestamp max_ts = 0;
+  for (auto& [id, element] : merge_elements) {
+    max_ts = std::max(max_ts, element.ts);
+    replay.push_back(std::move(element));
+  }
+  std::sort(replay.begin(), replay.end(),
+            [](const SocialElement& a, const SocialElement& b) {
+              return a.ts != b.ts ? a.ts < b.ts : a.id < b.id;
+            });
+  // As long as the replayed history: nothing expires.
+  ActiveWindow merge_window(max_ts);
+  KSIR_CHECK(merge_window.Advance(max_ts, std::move(replay)).ok());
+  const ScoringContext ctx(&model, &merge_window, params);
+
+  // Lazy greedy over the members: (gain, id, |S| when computed).
+  using Entry = std::tuple<double, ElementId, std::size_t>;
+  const auto lower = [](const Entry& a, const Entry& b) {
+    if (std::get<0>(a) != std::get<0>(b)) {
+      return std::get<0>(a) < std::get<0>(b);
+    }
+    return std::get<1>(a) > std::get<1>(b);
+  };
+  std::priority_queue<Entry, std::vector<Entry>, decltype(lower)> heap(lower);
+  CandidateState state(&ctx, &query.x);
+  std::sort(candidate_ids.begin(), candidate_ids.end());
+  for (const ElementId id : candidate_ids) {
+    const double score = ctx.ElementScore(*merge_window.Find(id), query.x);
+    if (score > 0.0) heap.emplace(score, id, 0);
+  }
+  while (!heap.empty() && state.size() < static_cast<std::size_t>(query.k)) {
+    const auto [gain, id, stamp] = heap.top();
+    heap.pop();
+    if (gain <= 0.0) break;
+    const SocialElement& e = *merge_window.Find(id);
+    if (stamp == state.size()) {
+      state.Add(e);
+    } else if (const double fresh = state.MarginalGain(e); fresh > 0.0) {
+      heap.emplace(fresh, id, state.size());
+    }
+  }
+
+  ReplayAnswer answer;
+  answer.merge_won = state.score() > best.score + 1e-12;
+  answer.ids = answer.merge_won ? state.members() : best.element_ids;
+  answer.score = answer.merge_won ? state.score() : best.score;
+  return answer;
+}
+
+TEST(PlannerMergeOracleTest, TermsMergeMatchesSnapshotReplay) {
+  // Generator streams: every ref points strictly earlier, the condition
+  // under which the replay keeps every edge (see ReplayMerge).
+  std::size_t plans = 0;
+  std::size_t merge_wins = 0;
+  for (const std::uint64_t seed : {11u, 12u, 13u}) {
+    StreamProfile profile = RedditSimProfile();
+    profile.num_elements = 1500;
+    profile.num_topics = 8;
+    profile.vocab_size = 600;
+    profile.seed = seed;
+    auto stream = GenerateStream(profile);
+    ASSERT_TRUE(stream.ok());
+    for (const std::size_t num_shards : {2u, 3u}) {
+      ServiceConfig config;
+      config.engine.scoring.eta = 20.0;
+      config.engine.window_length = 24 * 3600;
+      config.engine.bucket_length = 15 * 60;
+      config.num_shards = num_shards;
+      auto service = KsirService::Create(config, &stream->model);
+      ASSERT_TRUE(service.ok());
+      ASSERT_TRUE((*service)->Append(stream->elements).ok());
+      Rng rng(seed * 31 + num_shards);
+      for (std::size_t q = 0; q < 4; ++q) {
+        // Each query vector is fresh, so every Query below is a cache miss
+        // answered by one Plan.
+        const auto a = static_cast<std::int32_t>(rng.NextUint64(8));
+        const auto b = static_cast<std::int32_t>(rng.NextUint64(8));
+        const SparseVector x =
+            a == b ? SparseVector::FromEntries({{a, 1.0}})
+                   : SparseVector::FromEntries(
+                         {{std::min(a, b), 0.3 + 0.4 * rng.NextDouble()},
+                          {std::max(a, b), 0.3 + 0.4 * rng.NextDouble()}});
+        for (const Algorithm algorithm :
+             {Algorithm::kMttd, Algorithm::kMtts, Algorithm::kCelf}) {
+          for (const std::int32_t k : {1, 5, 10}) {
+            KsirQuery query;
+            query.k = k;
+            query.x = x;
+            query.algorithm = algorithm;
+            const std::string where =
+                "seed " + std::to_string(seed) + " shards " +
+                std::to_string(num_shards) + " k " + std::to_string(k) +
+                " algorithm " + std::string(AlgorithmName(algorithm)) +
+                " query " + std::to_string(q);
+            const PlannerStats before = (*service)->stats().planner;
+            const auto planned = (*service)->Query(query);
+            ASSERT_TRUE(planned.ok()) << where;
+            const PlannerStats after = (*service)->stats().planner;
+            ASSERT_EQ(after.plans, before.plans + 1) << where;
+            const ReplayAnswer oracle = ReplayMerge(
+                **service, stream->model, config.engine.scoring, query);
+            EXPECT_EQ(planned->element_ids, oracle.ids) << where;
+            EXPECT_NEAR(planned->score, oracle.score, 1e-9) << where;
+            EXPECT_EQ(after.merge_wins - before.merge_wins,
+                      oracle.merge_won ? 1 : 0)
+                << where;
+            ++plans;
+            merge_wins += oracle.merge_won ? 1 : 0;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(plans, 3u * 2u * 4u * 3u * 3u);
+  // Both guard outcomes are exercised.
+  EXPECT_GT(merge_wins, 0u);
+  EXPECT_LT(merge_wins, plans);
+}
+
+TEST(PlannerConcurrencyTest, PlansDuringIngestionNeverRetry) {
+  StreamProfile profile = RedditSimProfile();
+  profile.num_elements = 2400;
+  profile.num_topics = 8;
+  profile.vocab_size = 600;
+  auto stream = GenerateStream(profile);
+  ASSERT_TRUE(stream.ok());
+  ServiceConfig config;
+  config.engine.scoring.eta = 20.0;
+  config.engine.window_length = 12 * 3600;
+  config.engine.bucket_length = 15 * 60;
+  config.num_shards = 2;
+  auto created = KsirService::Create(config, &stream->model);
+  ASSERT_TRUE(created.ok());
+  KsirService& service = **created;
+  const std::vector<SocialElement>& elements = stream->elements;
+  // The first half ends with every element of its last timestamp, so the
+  // second half starts strictly after the service clock.
+  std::size_t half = elements.size() / 2;
+  while (elements[half].ts == elements[half - 1].ts) ++half;
+  ASSERT_TRUE(service
+                  .Append(std::vector<SocialElement>(
+                      elements.begin(),
+                      elements.begin() + static_cast<std::ptrdiff_t>(half)))
+                  .ok());
+
+  std::atomic<bool> writing{true};
+  std::atomic<int> bad_answers{0};
+  std::atomic<int> plans{0};
+  const auto reader = [&](std::uint64_t seed) {
+    Rng rng(seed);
+    int round = 0;
+    while (writing.load() || round < 4) {
+      ++round;
+      KsirQuery query;
+      query.k = 1 + static_cast<std::int32_t>(rng.NextUint64(10));
+      const auto topic = static_cast<std::int32_t>(rng.NextUint64(8));
+      query.x = SparseVector::FromEntries(
+          {{topic, 0.5 + 0.5 * rng.NextDouble()}});
+      query.algorithm = round % 3 == 0   ? Algorithm::kCelf
+                        : round % 3 == 1 ? Algorithm::kMtts
+                                         : Algorithm::kMttd;
+      const auto result = service.Query(query);
+      if (!result.ok()) {
+        bad_answers.fetch_add(1);
+        continue;
+      }
+      plans.fetch_add(1);
+      std::vector<ElementId> ids = result->element_ids;
+      std::sort(ids.begin(), ids.end());
+      if (ids.size() > static_cast<std::size_t>(query.k) ||
+          std::adjacent_find(ids.begin(), ids.end()) != ids.end()) {
+        bad_answers.fetch_add(1);
+      }
+    }
+  };
+  std::thread first(reader, 1);
+  std::thread second(reader, 2);
+  // The writer (this thread) advances the second half bucket by bucket
+  // while both readers plan.
+  Status write_status = Status::OK();
+  Timestamp bucket_end = service.now();
+  for (std::size_t i = half; i < elements.size() && write_status.ok();) {
+    bucket_end += config.engine.bucket_length;
+    std::vector<SocialElement> bucket;
+    while (i < elements.size() && elements[i].ts <= bucket_end) {
+      bucket.push_back(elements[i++]);
+    }
+    write_status = service.AdvanceTo(bucket_end, std::move(bucket));
+  }
+  writing.store(false);
+  first.join();
+  second.join();
+
+  EXPECT_TRUE(write_status.ok()) << write_status.ToString();
+  EXPECT_EQ(bad_answers.load(), 0);
+  EXPECT_GE(plans.load(), 8);
+  EXPECT_EQ(service.stats().planner.epoch_retries, 0);
 }
 
 // ---- balance-aware routing at the service seam -----------------------------
