@@ -33,7 +33,7 @@
 #include "common/rng.h"
 #include "common/timer.h"
 #include "core/engine.h"
-#include "subscribe/standing_query.h"
+#include "subscribe/subscription_manager.h"
 #include "service/shard_router.h"
 #include "service/sharded_ingestor.h"
 #include "runtime/worker_pool.h"
@@ -412,7 +412,9 @@ int Run(const char* out_path) {
   const auto run_subscriptions = [&](std::size_t registered,
                                      SubscriptionMode mode) {
     KsirEngine engine(sub_config, &sub_dataset.stream.model);
-    StandingQueryManager manager(&engine, mode);
+    SubscriptionManager manager(
+        [&engine](const KsirQuery& query) { return engine.Query(query); },
+        mode);
     Rng sub_rng(1234);
     const auto num_topics =
         static_cast<std::uint64_t>(sub_profile.num_topics);
@@ -446,7 +448,8 @@ int Run(const char* out_path) {
         [&](Timestamp bucket_end, std::vector<SocialElement> bucket) {
           KSIR_RETURN_NOT_OK(engine.AdvanceTo(bucket_end,
                                               std::move(bucket)));
-          KSIR_RETURN_NOT_OK(manager.EvaluateAll());
+          KSIR_RETURN_NOT_OK(
+              manager.EvaluateAffected(engine.last_advance_summary()));
           ++point.rounds;
           return Status::OK();
         });
@@ -454,7 +457,7 @@ int Run(const char* out_path) {
     point.total_ms = timer.ElapsedMillis();
     point.registered = registered;
     point.distinct = distinct;
-    point.totals = manager.subscriptions().totals();
+    point.totals = manager.totals();
     point.naive_evaluations = static_cast<std::int64_t>(registered) *
                               static_cast<std::int64_t>(point.rounds);
     point.reduction =

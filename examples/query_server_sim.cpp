@@ -218,14 +218,13 @@ int main(int argc, char** argv) {
               static_cast<long long>(stats.planner.epoch_retries),
               static_cast<long long>(stats.ingestion.cross_shard_refs));
 
-  const auto& sub_totals =
-      service.standing_queries().subscriptions().totals();
+  const auto& sub_totals = service.standing_queries().totals();
   std::printf("Standing subscriptions: %lld registered in %zu groups; "
               "%lld activated / %lld skipped across rounds, %lld "
               "evaluations (%lld served by group sharing), %lld delta "
               "events in %lld callbacks.\n",
               static_cast<long long>(sub_totals.registered),
-              service.standing_queries().subscriptions().num_groups(),
+              service.standing_queries().num_groups(),
               static_cast<long long>(sub_totals.activated),
               static_cast<long long>(sub_totals.skipped),
               static_cast<long long>(sub_totals.evaluations),

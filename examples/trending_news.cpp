@@ -2,17 +2,21 @@
 // stream (the paper's motivating scenario).
 //
 // Generates a TwitterSim stream, feeds it to the engine bucket by bucket,
-// and every 6 simulated hours re-issues the same standing query ("what is
+// and every 6 simulated hours refreshes the same standing query ("what is
 // representative for my topics right now?"), showing how the result set
 // drifts as content trends and decays inside the 24-hour sliding window.
+// The refresh is an indexed subscription round: it re-answers the query
+// only when some bucket since the previous refresh moved a topic the
+// query weights.
 //
 //   $ ./trending_news
 #include <cstdio>
 #include <string>
 
+#include "core/advance_summary.h"
 #include "core/engine.h"
-#include "subscribe/standing_query.h"
 #include "stream/generator.h"
+#include "subscribe/subscription_manager.h"
 #include "topic/inference.h"
 #include "topic/query_inference.h"
 
@@ -74,17 +78,19 @@ int main() {
   for (const auto& kw : keywords) std::printf(" %s", kw.c_str());
   std::printf("\n");
 
-  // Register the standing query with the continuous-query manager; its
+  // Register the standing query with the subscription manager; its
   // callback renders each refresh and flags result drift.
-  StandingQueryManager manager(&engine);
+  SubscriptionManager manager(
+      [&engine](const KsirQuery& q) { return engine.Query(q); },
+      SubscriptionMode::kIndexed);
   Timestamp current_time = 0;
   KsirQuery query;
   query.k = 5;
   query.x = *x;
   query.algorithm = Algorithm::kMttd;
   query.epsilon = 0.1;
-  manager.Register(query, [&](std::int64_t, const QueryResult& result,
-                              bool changed) {
+  manager.Subscribe(query, [&](const SubscriptionUpdate& update) {
+    const QueryResult& result = *update.result;
     std::printf(
         "\n-- t = %2lldh | window holds %5zu active elements | "
         "f(S,x) = %.3f | %.2f ms, %zu of %zu evaluated%s --\n",
@@ -92,7 +98,7 @@ int main() {
         engine.window().num_active(), result.score,
         result.stats.elapsed_ms, result.stats.num_evaluated,
         engine.window().num_active(),
-        changed ? " | RESULT CHANGED" : "");
+        update.first || update.set_changed ? " | RESULT CHANGED" : "");
     for (ElementId id : result.element_ids) {
       const SocialElement* e = engine.window().Find(id);
       KSIR_CHECK(e != nullptr);
@@ -105,8 +111,10 @@ int main() {
   });
 
   // Feed the stream; refresh every 6 simulated hours once the window warmed
-  // up.
+  // up. A refresh must see every bucket since the previous one, so the
+  // buckets' touched-topic summaries are folded in as they arrive.
   const Timestamp checkpoint_every = 6 * 3600;
+  AdvanceSummary since_refresh;
   Timestamp next_checkpoint = config.window_length;
   std::size_t begin = 0;
   Timestamp bucket_end = 0;
@@ -119,11 +127,14 @@ int main() {
       ++begin;
     }
     KSIR_CHECK(engine.AdvanceTo(bucket_end, std::move(bucket)).ok());
+    since_refresh = MergeAdvanceSummaries(
+        {since_refresh, engine.last_advance_summary()}, engine.bucket_epoch());
 
     if (bucket_end >= next_checkpoint) {
       next_checkpoint += checkpoint_every;
       current_time = bucket_end;
-      KSIR_CHECK(manager.EvaluateAll().ok());
+      KSIR_CHECK(manager.EvaluateAffected(since_refresh).ok());
+      since_refresh = AdvanceSummary{};
     }
   }
 

@@ -22,6 +22,7 @@
 #ifndef KSIR_CORE_ADVANCE_SUMMARY_H_
 #define KSIR_CORE_ADVANCE_SUMMARY_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -43,6 +44,38 @@ struct AdvanceSummary {
   /// out of the maintainer; KsirEngine stamps it).
   std::uint64_t epoch = 0;
 };
+
+/// Merges `summaries` into one summary stamped `epoch`: the union of their
+/// touched topics, sorted by topic id, each keeping its max movement. The
+/// service merges its shards' summaries of one bucket this way; a
+/// single-engine caller whose standing rounds skip buckets folds the
+/// summaries of every bucket since its previous round.
+inline AdvanceSummary MergeAdvanceSummaries(
+    const std::vector<AdvanceSummary>& summaries, std::uint64_t epoch) {
+  AdvanceSummary merged;
+  merged.epoch = epoch;
+  for (const AdvanceSummary& summary : summaries) {
+    merged.topics.insert(merged.topics.end(), summary.topics.begin(),
+                         summary.topics.end());
+  }
+  std::sort(merged.topics.begin(), merged.topics.end(),
+            [](const AdvanceSummary::TopicTouch& a,
+               const AdvanceSummary::TopicTouch& b) {
+              return a.topic < b.topic;
+            });
+  // Max-merge duplicates in place.
+  std::size_t out = 0;
+  for (const AdvanceSummary::TopicTouch& touch : merged.topics) {
+    if (out > 0 && merged.topics[out - 1].topic == touch.topic) {
+      merged.topics[out - 1].max_movement =
+          std::max(merged.topics[out - 1].max_movement, touch.max_movement);
+    } else {
+      merged.topics[out++] = touch;
+    }
+  }
+  merged.topics.resize(out);
+  return merged;
+}
 
 }  // namespace ksir
 

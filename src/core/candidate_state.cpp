@@ -24,7 +24,7 @@ void GainTerms::Resolve(const ScoringContext& ctx, const SparseVector& x,
   for (const auto& [topic, weight] : x.entries()) {
     if (weight <= 0.0) continue;
     const double p_e = e.topics.Get(topic);
-    TopicTerms t{p_e, static_cast<std::uint32_t>(sigmas_.size()), 0,
+    TopicTerms t{topic, p_e, static_cast<std::uint32_t>(sigmas_.size()), 0,
                  static_cast<std::uint32_t>(edges_.size()), 0};
     if (p_e > 0.0) {
       for (const auto& [word, count] : e.doc.word_counts()) {
@@ -67,12 +67,13 @@ double CandidateState::MarginalGain(const SocialElement& e) const {
 }
 
 double CandidateState::MarginalGain(const GainTerms& terms) const {
-  KSIR_DCHECK(terms.topics_.size() == topics_.size());
+  KSIR_CHECK(terms.topics_.size() == topics_.size());
   if (member_ids_.contains(terms.id_)) return 0.0;
   double gain = 0.0;
   for (std::size_t i = 0; i < topics_.size(); ++i) {
     const TopicState& state = topics_[i];
     const GainTerms::TopicTerms& t = terms.topics_[i];
+    KSIR_CHECK(t.topic == state.topic);
     if (t.topic_prob <= 0.0) continue;
 
     // Semantic gain: words where e's sigma beats the current best.
@@ -106,11 +107,12 @@ double CandidateState::Add(const SocialElement& e) {
 
 double CandidateState::Add(const GainTerms& terms) {
   KSIR_CHECK(!member_ids_.contains(terms.id_));
-  KSIR_DCHECK(terms.topics_.size() == topics_.size());
+  KSIR_CHECK(terms.topics_.size() == topics_.size());
   double gain = 0.0;
   for (std::size_t i = 0; i < topics_.size(); ++i) {
     TopicState& state = topics_[i];
     const GainTerms::TopicTerms& t = terms.topics_[i];
+    KSIR_CHECK(t.topic == state.topic);
     if (t.topic_prob <= 0.0) continue;
     const auto sigmas = terms.Sigmas(t);
     const auto edges = terms.Edges(t);

@@ -61,6 +61,7 @@ class GainTerms {
 
   /// One query topic with x_i > 0 and the offsets of its terms.
   struct TopicTerms {
+    TopicId topic;      // i, checked against the state's i-th topic
     double topic_prob;  // p_i(e); the topic contributes nothing when <= 0
     std::uint32_t sigma_begin, sigma_end;
     std::uint32_t edge_begin, edge_end;
@@ -94,14 +95,16 @@ class CandidateState {
   /// Delta(e | S) = f(S ∪ {e}, x) - f(S, x). Zero for members of S.
   double MarginalGain(const SocialElement& e) const;
 
-  /// The same gain from terms resolved against this state's query.
+  /// The same gain from terms resolved against this state's query (a
+  /// support with the same topics, checked in every build).
   double MarginalGain(const GainTerms& terms) const;
 
   /// Adds `e` to S and returns its realized marginal gain. `e` must not be
   /// a member yet.
   double Add(const SocialElement& e);
 
-  /// The same addition from terms resolved against this state's query.
+  /// The same addition from terms resolved against this state's query
+  /// (checked as in MarginalGain).
   double Add(const GainTerms& terms);
 
   /// f(S, x).

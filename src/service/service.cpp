@@ -36,7 +36,9 @@ StatusOr<std::unique_ptr<KsirService>> KsirService::Create(
 KsirService::KsirService(ServiceConfig config, const TopicModel* model)
     : config_(config),
       telemetry_(std::make_unique<Telemetry>(config.telemetry)),
-      cache_(config.cache_capacity, config.cache_quantum, telemetry_.get()) {
+      cache_(config.cache_capacity, config.cache_quantum, telemetry_.get()),
+      standing_([this](const KsirQuery& query) { return Query(query); },
+                config.subscription_mode, telemetry_.get()) {
   // One pool for everything: shard advances, query fan-out, and — when
   // parallel maintenance is configured — every shard engine's staged
   // bucket apply (passed into the engines below instead of letting each
@@ -69,9 +71,6 @@ KsirService::KsirService(ServiceConfig config, const TopicModel* model)
                                                 pool_, telemetry_.get());
   planner_ = std::make_unique<QueryPlanner>(shard_ptrs, model, pool_,
                                             telemetry_.get());
-  standing_ = std::make_unique<ShardedStandingQueryManager>(
-      [this](const KsirQuery& query) { return Query(query); },
-      config_.subscription_mode, telemetry_.get());
   summaries_scratch_.resize(config_.num_shards);
   MetricRegistry& reg = telemetry_->registry();
   queries_counter_ = reg.GetCounter("ksir_service_queries_total",
@@ -103,12 +102,13 @@ Status KsirService::AdvanceTo(Timestamp bucket_end,
     return ingested;
   }
   cache_.InvalidateBefore(epoch_.load(std::memory_order_acquire));
-  if (config_.evaluate_standing_after_advance && standing_->size() > 0) {
+  if (standing_.size() > 0) {
     for (std::size_t i = 0; i < shards_.size(); ++i) {
       summaries_scratch_[i] = shards_[i]->last_advance_summary();
     }
-    const std::uint64_t epoch = epoch_.load(std::memory_order_acquire);
-    if (!standing_->AfterAdvance(summaries_scratch_, epoch).ok()) {
+    const AdvanceSummary merged = MergeAdvanceSummaries(
+        summaries_scratch_, epoch_.load(std::memory_order_acquire));
+    if (!standing_.EvaluateAffected(merged).ok()) {
       standing_errors_.fetch_add(1, std::memory_order_relaxed);
     }
   }

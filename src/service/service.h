@@ -20,6 +20,12 @@
 //   +--------------+        |  bucket)         |
 //                           +------------------+
 //
+// Standing queries are a SubscriptionManager whose evaluator is Query:
+// they run through the planner and re-prime the result cache for the
+// ad-hoc queries that follow. After each bucket the service merges the
+// shards' advance summaries (topic union, max movement) and runs one
+// EvaluateAffected round over the merged summary.
+//
 // One writer thread ingests buckets; any number of reader threads query.
 // This façade is the seam every scaling direction plugs into: more shards,
 // asynchronous ingestion, replicated shards, or remote shard backends all
@@ -40,8 +46,8 @@
 #include "service/result_cache.h"
 #include "service/shard_router.h"
 #include "service/sharded_ingestor.h"
-#include "service/sharded_standing_query.h"
 #include "runtime/worker_pool.h"
+#include "subscribe/subscription_manager.h"
 #include "topic/topic_model.h"
 
 namespace ksir {
@@ -75,8 +81,6 @@ struct ServiceConfig {
   std::size_t cache_capacity = 4096;
   /// Query-vector quantization step of the cache key.
   double cache_quantum = 1e-4;
-  /// Re-evaluate standing queries right after every ingested bucket.
-  bool evaluate_standing_after_advance = true;
   /// How the post-bucket standing-query round is driven: kIndexed wakes
   /// only subscriptions whose query support intersects the topics touched
   /// by the bucket (union over shards), kNaive re-evaluates everything —
@@ -113,8 +117,8 @@ class KsirService {
       ServiceConfig config, const TopicModel* model);
 
   /// Ingests one bucket: partitions it across the shards, advances them in
-  /// parallel, bumps the service epoch (invalidating cached results) and —
-  /// when configured — re-evaluates the standing queries. A bucket with a
+  /// parallel, bumps the service epoch (invalidating cached results) and
+  /// re-evaluates the standing queries it touched. A bucket with a
   /// malformed element (see ValidateBucket) is rejected before routing
   /// with InvalidArgument and changes nothing.
   Status AdvanceTo(Timestamp bucket_end, std::vector<SocialElement> bucket);
@@ -128,7 +132,8 @@ class KsirService {
   StatusOr<QueryResult> Query(const KsirQuery& query) const;
 
   /// Standing subscriptions (evaluated through the cached planner path).
-  ShardedStandingQueryManager& standing_queries() { return *standing_; }
+  /// Register and unregister from the ingestion thread.
+  SubscriptionManager& standing_queries() { return standing_; }
 
   /// Current stream clock (shared by all shards).
   Timestamp now() const { return ingestor_->now(); }
@@ -188,7 +193,7 @@ class KsirService {
   Counter* queries_counter_ = nullptr;
   Histogram* query_hist_ = nullptr;
   Histogram* cache_lookup_hist_ = nullptr;
-  std::unique_ptr<ShardedStandingQueryManager> standing_;
+  SubscriptionManager standing_;
   /// Per-shard advance summaries collected after each bucket (reused).
   std::vector<AdvanceSummary> summaries_scratch_;
   std::atomic<std::uint64_t> epoch_{0};

@@ -2,11 +2,11 @@
 // incremental delta event stream.
 //
 // A standing query is a k-SIR query registered once and re-answered as the
-// window slides. Instead of the legacy (result, changed) callback, the
-// subscription engine emits SubscriptionUpdate events carrying the diff
-// between consecutive results — enter / leave / reorder deltas plus the
-// epoch they were computed at — so downstream consumers (and remote-shard
-// replication) ship deltas, not full top-k sets.
+// window slides. The subscription engine emits SubscriptionUpdate events
+// carrying the full new result and its diff against the previous one —
+// enter / leave / reorder deltas plus the epoch they were computed at — so
+// downstream consumers (and remote-shard replication) can ship deltas, not
+// full top-k sets.
 #ifndef KSIR_SUBSCRIBE_SUBSCRIPTION_H_
 #define KSIR_SUBSCRIBE_SUBSCRIPTION_H_
 
@@ -54,8 +54,9 @@ struct SubscriptionUpdate {
   /// True on the subscription's first evaluation: every result member is
   /// reported as an enter.
   bool first;
-  /// True when the result SET changed (some enter or leave emitted) — the
-  /// legacy `changed` bit. Reorders alone leave it false.
+  /// True when the result SET changed (some enter or leave emitted).
+  /// Reorders alone leave it false; `first || set_changed` tells whether
+  /// the delivered set differs from what the callback last saw.
   bool set_changed;
   /// The full new result (selection order), shared across a group.
   const QueryResult* result;

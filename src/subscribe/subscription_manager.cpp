@@ -117,17 +117,6 @@ std::int64_t SubscriptionManager::Subscribe(KsirQuery query,
   return sub->id;
 }
 
-std::int64_t SubscriptionManager::Register(KsirQuery query,
-                                           LegacyCallback callback) {
-  KSIR_CHECK(callback != nullptr);
-  return Subscribe(
-      std::move(query),
-      [callback = std::move(callback)](const SubscriptionUpdate& update) {
-        callback(update.subscription_id, *update.result,
-                 update.first || update.set_changed);
-      });
-}
-
 bool SubscriptionManager::Unsubscribe(std::int64_t id) {
   const auto it = subs_.find(id);
   if (it == subs_.end()) return false;
@@ -249,6 +238,10 @@ Status SubscriptionManager::EvaluateAll(std::uint64_t epoch) {
 
 Status SubscriptionManager::EvaluateAffected(const AdvanceSummary& summary) {
   if (mode_ == SubscriptionMode::kNaive) return EvaluateAll(summary.epoch);
+  if (summary.epoch <= last_epoch_) {
+    const AdvanceSummary quiet;
+    return RunRound(&quiet, summary.epoch);
+  }
   return RunRound(&summary, summary.epoch);
 }
 
@@ -312,6 +305,7 @@ Status SubscriptionManager::RunRound(const AdvanceSummary* summary,
   // No nested rounds: a callback may mutate the registry, not evaluate.
   KSIR_CHECK(!evaluating_);
   evaluating_ = true;
+  last_epoch_ = epoch;
   StageScope scope(telemetry_, evaluate_hist_, "sub.evaluate");
   Status first_error = Status::OK();
   const auto eligible = static_cast<std::int64_t>(order_.size());
@@ -353,8 +347,8 @@ Status SubscriptionManager::RunRound(const AdvanceSummary* summary,
 
   if (summary == nullptr) {
     // Naive reference round: one evaluation per subscription, no sharing,
-    // no skipping (the legacy EvaluateAll semantics, and the baseline the
-    // differential tests compare the indexed path against).
+    // no skipping (the baseline the differential tests compare the indexed
+    // path against).
     for (std::size_t i = 0; i < static_cast<std::size_t>(eligible); ++i) {
       Subscription* sub = order_[i];
       if (!sub->alive) continue;

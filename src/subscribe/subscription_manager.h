@@ -51,10 +51,6 @@ class SubscriptionManager {
  public:
   /// Answers one standing query against current state.
   using Evaluator = std::function<StatusOr<QueryResult>(const KsirQuery&)>;
-  /// The pre-delta callback shape, kept for existing callers: full result
-  /// plus a "did the result SET change" bit (true on first evaluation).
-  using LegacyCallback =
-      std::function<void(std::int64_t, const QueryResult&, bool)>;
 
   /// Mirror of the telemetry counters, cheap to read in tests/benches.
   struct Counters {
@@ -81,25 +77,31 @@ class SubscriptionManager {
   /// subscription callback (the new subscription joins the next round).
   std::int64_t Subscribe(KsirQuery query, SubscriptionCallback callback);
 
-  /// Legacy-shaped registration: adapts `callback` onto the delta stream
-  /// (`changed` = first evaluation or some enter/leave delta).
-  std::int64_t Register(KsirQuery query, LegacyCallback callback);
-
   /// Removes a subscription. Returns false for unknown ids. Safe to call
   /// from a subscription callback (no further callbacks are delivered,
   /// storage is reclaimed after the round).
   bool Unsubscribe(std::int64_t id);
-  bool Unregister(std::int64_t id) { return Unsubscribe(id); }
 
   /// Evaluates EVERY live subscription, one evaluator call per
   /// subscription — the naive reference round, regardless of mode.
   /// Returns the first evaluation error (all subscriptions still run).
   Status EvaluateAll(std::uint64_t epoch);
 
-  /// Evaluates the subscriptions affected by one bucket: under kIndexed,
-  /// groups posted on the summary's touched topics, always-active groups,
-  /// and groups with never-evaluated members; under kNaive, everything
-  /// (the knob's baseline). The round's epoch is `summary.epoch`.
+  /// The same full round at the previous round's epoch (0 before any).
+  Status EvaluateAll() { return EvaluateAll(last_epoch_); }
+
+  /// Evaluates the subscriptions affected since the previous round: under
+  /// kIndexed, groups posted on the summary's touched topics, always-
+  /// active groups, and groups with never-evaluated members; under kNaive,
+  /// everything (the knob's baseline). The round's epoch is
+  /// `summary.epoch`.
+  ///
+  /// `summary` must cover every bucket since the previous round: a caller
+  /// that runs a round less often than once per bucket folds the skipped
+  /// buckets' summaries in with MergeAdvanceSummaries, or the groups they
+  /// touched are skipped. A summary whose epoch is not newer than the
+  /// previous round's touches no topic (nothing moved since that round),
+  /// so re-submitting the last summary wakes only fresh registrations.
   Status EvaluateAffected(const AdvanceSummary& summary);
 
   std::size_t size() const { return subs_.size(); }
@@ -202,6 +204,8 @@ class SubscriptionManager {
   /// has_fresh), rebuilt every round.
   std::vector<Group*> fresh_groups_;
   std::uint64_t round_ = 0;
+  /// Epoch of the most recent round (0 before any).
+  std::uint64_t last_epoch_ = 0;
   std::int64_t next_id_ = 1;
 
   /// ---- round state (re-entrancy) ----

@@ -8,9 +8,9 @@
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
-#include "subscribe/standing_query.h"
 #include "paper_fixture.h"
 #include "stream/generator.h"
+#include "subscribe/subscription_manager.h"
 
 namespace ksir {
 namespace {
@@ -301,11 +301,19 @@ TEST(EngineTest, ToleratesDanglingReferencesBeyondRetention) {
   EXPECT_EQ(engine.index().num_elements(), engine.window().num_active());
 }
 
+// Standing queries over one engine: a naive SubscriptionManager answering
+// through the engine's Query re-evaluates every subscription each round.
+SubscriptionManager NaiveStandingQueries(const KsirEngine& engine) {
+  return SubscriptionManager(
+      [&engine](const KsirQuery& query) { return engine.Query(query); },
+      SubscriptionMode::kNaive);
+}
+
 TEST(StandingQueryTest, FirstEvaluationReportsChanged) {
   auto model = PaperTopicModel();
   KsirEngine engine(PaperEngineConfig(), &model);
   ASSERT_TRUE(engine.Append(PaperElements()).ok());
-  StandingQueryManager manager(&engine);
+  SubscriptionManager manager = NaiveStandingQueries(engine);
 
   KsirQuery query;
   query.k = 2;
@@ -314,14 +322,13 @@ TEST(StandingQueryTest, FirstEvaluationReportsChanged) {
   int calls = 0;
   bool last_changed = false;
   QueryResult last_result;
-  manager.Register(query, [&](std::int64_t, const QueryResult& result,
-                              bool changed) {
+  manager.Subscribe(query, [&](const SubscriptionUpdate& update) {
     ++calls;
-    last_changed = changed;
-    last_result = result;
+    last_changed = update.first || update.set_changed;
+    last_result = *update.result;
   });
   EXPECT_EQ(manager.size(), 1u);
-  ASSERT_TRUE(manager.EvaluateAll().ok());
+  ASSERT_TRUE(manager.EvaluateAffected(engine.last_advance_summary()).ok());
   EXPECT_EQ(calls, 1);
   EXPECT_TRUE(last_changed);
   std::vector<ElementId> ids = last_result.element_ids;
@@ -329,7 +336,7 @@ TEST(StandingQueryTest, FirstEvaluationReportsChanged) {
   EXPECT_EQ(ids, (std::vector<ElementId>{1, 3}));
 
   // Unchanged window -> unchanged result, changed = false.
-  ASSERT_TRUE(manager.EvaluateAll().ok());
+  ASSERT_TRUE(manager.EvaluateAffected(engine.last_advance_summary()).ok());
   EXPECT_EQ(calls, 2);
   EXPECT_FALSE(last_changed);
 }
@@ -342,7 +349,7 @@ TEST(StandingQueryTest, DetectsResultDriftAcrossWindowSlides) {
   std::vector<SocialElement> rest(elements.begin() + 5, elements.end());
   ASSERT_TRUE(engine.Append(std::move(first)).ok());
 
-  StandingQueryManager manager(&engine);
+  SubscriptionManager manager = NaiveStandingQueries(engine);
   KsirQuery query;
   // k = 4: at t = 5 the result must include e4, which expires by t = 8,
   // so the window slide necessarily changes the result set.
@@ -351,16 +358,15 @@ TEST(StandingQueryTest, DetectsResultDriftAcrossWindowSlides) {
   query.epsilon = 0.3;
   std::vector<bool> changes;
   std::vector<std::vector<ElementId>> results;
-  manager.Register(query,
-                   [&](std::int64_t, const QueryResult& result, bool changed) {
-                     changes.push_back(changed);
-                     auto ids = result.element_ids;
-                     std::sort(ids.begin(), ids.end());
-                     results.push_back(std::move(ids));
-                   });
-  ASSERT_TRUE(manager.EvaluateAll().ok());
+  manager.Subscribe(query, [&](const SubscriptionUpdate& update) {
+    changes.push_back(update.first || update.set_changed);
+    auto ids = update.result->element_ids;
+    std::sort(ids.begin(), ids.end());
+    results.push_back(std::move(ids));
+  });
+  ASSERT_TRUE(manager.EvaluateAffected(engine.last_advance_summary()).ok());
   ASSERT_TRUE(engine.Append(std::move(rest)).ok());
-  ASSERT_TRUE(manager.EvaluateAll().ok());
+  ASSERT_TRUE(manager.EvaluateAffected(engine.last_advance_summary()).ok());
   ASSERT_EQ(changes.size(), 2u);
   EXPECT_TRUE(changes[0]);
   EXPECT_TRUE(changes[1]);  // the window moved from t=5 to t=8
@@ -370,20 +376,20 @@ TEST(StandingQueryTest, DetectsResultDriftAcrossWindowSlides) {
                                   ElementId{4}));
 }
 
-TEST(StandingQueryTest, UnregisterStopsCallbacks) {
+TEST(StandingQueryTest, UnsubscribeStopsCallbacks) {
   auto model = PaperTopicModel();
   KsirEngine engine(PaperEngineConfig(), &model);
   ASSERT_TRUE(engine.Append(PaperElements()).ok());
-  StandingQueryManager manager(&engine);
+  SubscriptionManager manager = NaiveStandingQueries(engine);
   KsirQuery query;
   query.k = 2;
   query.x = BalancedQueryVector();
   int calls = 0;
-  const std::int64_t id = manager.Register(
-      query, [&](std::int64_t, const QueryResult&, bool) { ++calls; });
-  EXPECT_TRUE(manager.Unregister(id));
-  EXPECT_FALSE(manager.Unregister(id));
-  ASSERT_TRUE(manager.EvaluateAll().ok());
+  const std::int64_t id = manager.Subscribe(
+      query, [&](const SubscriptionUpdate&) { ++calls; });
+  EXPECT_TRUE(manager.Unsubscribe(id));
+  EXPECT_FALSE(manager.Unsubscribe(id));
+  ASSERT_TRUE(manager.EvaluateAffected(engine.last_advance_summary()).ok());
   EXPECT_EQ(calls, 0);
   EXPECT_EQ(manager.size(), 0u);
 }
@@ -392,19 +398,18 @@ TEST(StandingQueryTest, InvalidStandingQueryReportsError) {
   auto model = PaperTopicModel();
   KsirEngine engine(PaperEngineConfig(), &model);
   ASSERT_TRUE(engine.Append(PaperElements()).ok());
-  StandingQueryManager manager(&engine);
+  SubscriptionManager manager = NaiveStandingQueries(engine);
   KsirQuery bad;
   bad.k = 0;  // invalid
   bad.x = BalancedQueryVector();
-  manager.Register(bad, [](std::int64_t, const QueryResult&, bool) {});
+  manager.Subscribe(bad, [](const SubscriptionUpdate&) {});
   KsirQuery good;
   good.k = 2;
   good.x = BalancedQueryVector();
   int good_calls = 0;
-  manager.Register(good, [&](std::int64_t, const QueryResult&, bool) {
-    ++good_calls;
-  });
-  const Status status = manager.EvaluateAll();
+  manager.Subscribe(good, [&](const SubscriptionUpdate&) { ++good_calls; });
+  const Status status =
+      manager.EvaluateAffected(engine.last_advance_summary());
   EXPECT_FALSE(status.ok());   // the bad query's error is surfaced
   EXPECT_EQ(good_calls, 1);    // but the good query still ran
 }

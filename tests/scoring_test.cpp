@@ -197,5 +197,32 @@ TEST_F(PaperScoringTest, TopicScoresMatchFigure5) {
   EXPECT_NEAR(ctx().TopicScore(1, e(3)), 0.03, 0.005);
 }
 
+// ------------------------------------------ GainTerms support checking --
+
+using GainTermsDeathTest = PaperScoringTest;
+
+// Terms resolved against another query's support must not be read by
+// index: the topic count and every position's topic are checked in all
+// builds, not only in debug ones.
+TEST_F(GainTermsDeathTest, DifferentSizeSupportDies) {
+  const SparseVector x = BalancedQueryVector();
+  const SparseVector other = SparseVector::FromEntries({{0, 1.0}});
+  GainTerms terms;
+  terms.Resolve(ctx(), other, e(3), window().ReferrersOf(3));
+  CandidateState state(&ctx(), &x);
+  EXPECT_DEATH(state.MarginalGain(terms), "size");
+  EXPECT_DEATH(state.Add(terms), "size");
+}
+
+TEST_F(GainTermsDeathTest, SameSizeDifferentTopicSupportDies) {
+  const SparseVector x = SparseVector::FromEntries({{1, 1.0}});
+  const SparseVector other = SparseVector::FromEntries({{0, 1.0}});
+  GainTerms terms;
+  terms.Resolve(ctx(), other, e(3), window().ReferrersOf(3));
+  CandidateState state(&ctx(), &x);
+  EXPECT_DEATH(state.MarginalGain(terms), "topic");
+  EXPECT_DEATH(state.Add(terms), "topic");
+}
+
 }  // namespace
 }  // namespace ksir

@@ -869,9 +869,9 @@ TEST_F(PlannerPropertyTest, StandingQueriesRunAfterEachBucket) {
   query.x = QueryPool(3)[2];
   query.algorithm = Algorithm::kCelf;
   std::vector<bool> changes;
-  service_->standing_queries().Register(
-      query, [&](std::int64_t, const QueryResult&, bool changed) {
-        changes.push_back(changed);
+  service_->standing_queries().Subscribe(
+      query, [&](const SubscriptionUpdate& update) {
+        changes.push_back(update.first || update.set_changed);
       });
 
   Timestamp next = service_->now() + config_.bucket_length;

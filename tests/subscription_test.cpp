@@ -1,9 +1,11 @@
 // Subscription engine tests: delta semantics, re-entrant registry
 // mutation, shared group evaluation, inverted-index activation/skipping,
-// and the differential guarantee — the indexed path's delivered views are
-// identical to the naive full re-evaluation, over random streams, on both
-// a single engine (score sources, parallel apply and the pipeline's
-// switchable layers x refresh mode) and the sharded service.
+// the epoch guard and the advance-summary merge, and the differential
+// guarantee — the indexed path's delivered views are identical to the
+// naive full re-evaluation, over random streams, on both a single engine
+// (score sources, parallel apply and the pipeline's switchable layers x
+// refresh mode, with rounds after every bucket and every third bucket) and
+// the sharded service.
 #include <algorithm>
 #include <cstdint>
 #include <map>
@@ -18,7 +20,6 @@
 #include "core/engine.h"
 #include "service/service.h"
 #include "stream_gen.h"
-#include "subscribe/standing_query.h"
 #include "subscribe/subscription_index.h"
 #include "subscribe/subscription_manager.h"
 #include "topic/topic_model.h"
@@ -352,6 +353,85 @@ TEST(SubscriptionIndexTest, UnsubscribeRemovesPostings) {
   EXPECT_EQ(manager.num_groups(), 0u);
 }
 
+// A summary no newer than the previous round touches nothing; the
+// argument-free EvaluateAll runs at the previous round's epoch.
+TEST(SubscriptionIndexTest, StaleSummaryTouchesNoTopic) {
+  ScriptedEvaluator eval;
+  eval.current = {1};
+  SubscriptionManager manager(eval.fn(), SubscriptionMode::kIndexed);
+  std::vector<Delivery> log;
+  manager.Subscribe(MakeQuery(UnitVector(0)), Recorder(&log));
+  ASSERT_TRUE(manager.EvaluateAll().ok());
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log[0].epoch, 0u);  // no round before: epoch 0
+  ASSERT_TRUE(manager.EvaluateAffected(TouchOnly({0}, 2)).ok());
+  EXPECT_EQ(log.size(), 2u);
+  ASSERT_TRUE(manager.EvaluateAffected(TouchOnly({0}, 2)).ok());
+  ASSERT_TRUE(manager.EvaluateAffected(TouchOnly({0}, 1)).ok());
+  EXPECT_EQ(log.size(), 2u);
+  EXPECT_EQ(eval.calls, 2);
+  ASSERT_TRUE(manager.EvaluateAffected(TouchOnly({0}, 3)).ok());
+  EXPECT_EQ(log.size(), 3u);
+  ASSERT_TRUE(manager.EvaluateAll().ok());
+  ASSERT_EQ(log.size(), 4u);
+  EXPECT_EQ(log[3].epoch, 3u);
+}
+
+// ----------------------------------------------------- summary merge ----
+
+AdvanceSummary Touches(
+    std::vector<AdvanceSummary::TopicTouch> topics, std::uint64_t epoch) {
+  AdvanceSummary summary;
+  summary.topics = std::move(topics);
+  summary.epoch = epoch;
+  return summary;
+}
+
+std::vector<std::pair<TopicId, double>> Flatten(
+    const AdvanceSummary& summary) {
+  std::vector<std::pair<TopicId, double>> out;
+  for (const auto& touch : summary.topics) {
+    out.emplace_back(touch.topic, touch.max_movement);
+  }
+  return out;
+}
+
+TEST(AdvanceSummaryMergeTest, UnionsAndSortsTopics) {
+  const AdvanceSummary merged = MergeAdvanceSummaries(
+      {Touches({{1, 0.1}, {5, 0.5}}, 4), Touches({{0, 0.2}, {3, 0.3}}, 4)},
+      4);
+  EXPECT_EQ(Flatten(merged), (std::vector<std::pair<TopicId, double>>{
+                                 {0, 0.2}, {1, 0.1}, {3, 0.3}, {5, 0.5}}));
+}
+
+TEST(AdvanceSummaryMergeTest, DuplicateTopicKeepsMaxMovement) {
+  const AdvanceSummary merged = MergeAdvanceSummaries(
+      {Touches({{2, 0.1}, {7, 0.9}}, 1), Touches({{2, 0.4}}, 1),
+       Touches({{2, 0.3}, {7, 0.2}}, 1)},
+      1);
+  EXPECT_EQ(Flatten(merged), (std::vector<std::pair<TopicId, double>>{
+                                 {2, 0.4}, {7, 0.9}}));
+}
+
+TEST(AdvanceSummaryMergeTest, StampsTheGivenEpoch) {
+  // The inputs' own epochs are ignored: the service stamps its epoch, a
+  // fold stamps the newest bucket's.
+  const AdvanceSummary merged = MergeAdvanceSummaries(
+      {Touches({{1, 0.1}}, 3), Touches({{1, 0.2}}, 5)}, 9);
+  EXPECT_EQ(merged.epoch, 9u);
+}
+
+TEST(AdvanceSummaryMergeTest, EmptyAndSingleInputs) {
+  const AdvanceSummary none = MergeAdvanceSummaries({}, 7);
+  EXPECT_TRUE(none.topics.empty());
+  EXPECT_EQ(none.epoch, 7u);
+  const AdvanceSummary single =
+      MergeAdvanceSummaries({Touches({{0, 0.5}, {4, 0.25}}, 2)}, 2);
+  EXPECT_EQ(Flatten(single), (std::vector<std::pair<TopicId, double>>{
+                                 {0, 0.5}, {4, 0.25}}));
+  EXPECT_EQ(single.epoch, 2u);
+}
+
 // Toy item type for the index template itself.
 struct ToyItem {
   SparseVector x;
@@ -429,16 +509,24 @@ std::vector<KsirQuery> DifferentialQueries(int num_topics) {
   return queries;
 }
 
+SubscriptionManager::Evaluator EngineEvaluator(const KsirEngine& engine) {
+  return [&engine](const KsirQuery& query) { return engine.Query(query); };
+}
+
+/// Feeds one stream to `base` and runs a naive and an indexed manager
+/// every `round_every` buckets. The indexed rounds consume the summaries
+/// of all buckets since the previous round, folded into one.
 void RunEngineDifferential(std::uint64_t seed, const EngineConfig& base,
-                           const std::string& flavor) {
+                           const std::string& flavor, int round_every = 1) {
   testing::StreamGenConfig gen_config;
   gen_config.num_topics = 16;
   testing::StreamGen gen(seed, gen_config);
   TopicModel model = gen.MakeModel();
   KsirEngine engine(base, &model);
 
-  StandingQueryManager naive(&engine, SubscriptionMode::kNaive);
-  StandingQueryManager indexed(&engine, SubscriptionMode::kIndexed);
+  SubscriptionManager naive(EngineEvaluator(engine), SubscriptionMode::kNaive);
+  SubscriptionManager indexed(EngineEvaluator(engine),
+                              SubscriptionMode::kIndexed);
   const std::vector<KsirQuery> queries =
       DifferentialQueries(gen_config.num_topics);
   std::vector<View> naive_views(queries.size());
@@ -448,13 +536,20 @@ void RunEngineDifferential(std::uint64_t seed, const EngineConfig& base,
     indexed.Subscribe(queries[i], ViewTracker(&indexed_views[i]));
   }
 
+  AdvanceSummary pending;  // every bucket since the previous round
+  int buckets = 0;
   for (Timestamp bucket_end = 2; bucket_end <= 60; bucket_end += 2) {
     std::vector<SocialElement> bucket = gen.NextBucket(bucket_end);
     ASSERT_TRUE(engine.AdvanceTo(bucket_end, std::move(bucket)).ok());
-    ASSERT_TRUE(naive.EvaluateAll().ok()) << flavor;
-    ASSERT_TRUE(indexed.EvaluateAll().ok()) << flavor;
+    pending = MergeAdvanceSummaries({pending, engine.last_advance_summary()},
+                                    engine.bucket_epoch());
+    if (++buckets % round_every != 0) continue;
+    ASSERT_TRUE(naive.EvaluateAffected(engine.last_advance_summary()).ok())
+        << flavor;
+    ASSERT_TRUE(indexed.EvaluateAffected(pending).ok()) << flavor;
+    pending = AdvanceSummary{};
     for (std::size_t i = 0; i < queries.size(); ++i) {
-      // The views must agree after every bucket — a skipped subscription
+      // The views must agree after every round — a skipped subscription
       // whose true result moved would diverge here.
       EXPECT_EQ(indexed_views[i].delivered, naive_views[i].delivered)
           << flavor << " seed=" << seed << " t=" << bucket_end
@@ -473,11 +568,10 @@ void RunEngineDifferential(std::uint64_t seed, const EngineConfig& base,
   }
   // The sweep must have exercised the machinery, not just fallen back to
   // full rounds: skips and shared evaluations both happen.
-  const auto& totals = indexed.subscriptions().totals();
+  const auto& totals = indexed.totals();
   EXPECT_GT(totals.skipped, 0) << flavor;
   EXPECT_GT(totals.shared_hits, 0) << flavor;
-  EXPECT_LT(totals.evaluations, naive.subscriptions().totals().evaluations)
-      << flavor;
+  EXPECT_LT(totals.evaluations, naive.totals().evaluations) << flavor;
 }
 
 class SubscriptionDifferentialTest
@@ -520,6 +614,32 @@ TEST_P(SubscriptionDifferentialTest, EngineFlavorsPaper) {
   EngineConfig no_handles = base;
   no_handles.carry_handles = false;
   RunEngineDifferential(GetParam(), no_handles, "no_handles/paper");
+}
+
+// Rounds every third bucket: each indexed round wakes the subscriptions
+// touched by any of the three buckets, so it still matches the naive one.
+TEST_P(SubscriptionDifferentialTest, RoundsEveryThirdBucket) {
+  EngineConfig base;
+  base.scoring.lambda = 0.4;
+  base.scoring.eta = 2.0;
+  base.window_length = 6;
+  base.bucket_length = 2;
+  base.archive_retention = 10;
+  base.refresh_mode = RefreshMode::kExact;
+  base.score_maintenance = ScoreMaintenance::kIncremental;
+  base.carry_handles = true;
+  RunEngineDifferential(GetParam(), base, "handle/exact/every3",
+                        /*round_every=*/3);
+
+  EngineConfig parallel = base;
+  parallel.maintenance_threads = 3;
+  RunEngineDifferential(GetParam(), parallel, "parallel/exact/every3",
+                        /*round_every=*/3);
+
+  EngineConfig paper = base;
+  paper.refresh_mode = RefreshMode::kPaper;
+  RunEngineDifferential(GetParam(), paper, "handle/paper/every3",
+                        /*round_every=*/3);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SubscriptionDifferentialTest,
@@ -579,20 +699,17 @@ TEST(SubscriptionServiceDifferentialTest, ShardedMatchesNaive) {
     }
     EXPECT_EQ(naive_service->stats().standing_errors, 0);
     EXPECT_EQ(indexed_service->stats().standing_errors, 0);
-    const auto& totals =
-        indexed_service->standing_queries().subscriptions().totals();
+    const auto& totals = indexed_service->standing_queries().totals();
     EXPECT_GT(totals.skipped, 0) << "seed=" << seed;
-    EXPECT_LT(totals.evaluations, naive_service->standing_queries()
-                                      .subscriptions()
-                                      .totals()
-                                      .evaluations)
+    EXPECT_LT(totals.evaluations,
+              naive_service->standing_queries().totals().evaluations)
         << "seed=" << seed;
   }
 }
 
-// Repeated EvaluateAll with no intervening bucket wakes nothing under
-// kIndexed (the epoch guard) while kNaive re-runs everything.
-TEST(StandingQueryManagerTest, IndexedSkipsQuietRounds) {
+// Re-submitting the engine's summary with no intervening bucket wakes
+// nothing under kIndexed (the epoch guard).
+TEST(SubscriptionIndexTest, IndexedSkipsQuietRounds) {
   testing::StreamGen gen(7);
   TopicModel model = gen.MakeModel();
   EngineConfig config;
@@ -600,17 +717,28 @@ TEST(StandingQueryManagerTest, IndexedSkipsQuietRounds) {
   config.window_length = 6;
   config.bucket_length = 2;
   KsirEngine engine(config, &model);
-  ASSERT_TRUE(engine.AdvanceTo(2, gen.NextBucket(2)).ok());
+  // Advance until a bucket moves some topic (a bucket may be empty).
+  for (Timestamp bucket_end = 2;
+       engine.last_advance_summary().topics.empty() && bucket_end <= 20;
+       bucket_end += 2) {
+    ASSERT_TRUE(engine.AdvanceTo(bucket_end, gen.NextBucket(bucket_end)).ok());
+  }
 
-  StandingQueryManager manager(&engine, SubscriptionMode::kIndexed);
+  SubscriptionManager manager(EngineEvaluator(engine),
+                              SubscriptionMode::kIndexed);
   std::vector<Delivery> log;
-  manager.Subscribe(MakeQuery(UnitVector(0)), Recorder(&log));
-  ASSERT_TRUE(manager.EvaluateAll().ok());
+  // Interested in a topic the bucket moved, so only the guard keeps the
+  // re-submitted summary from waking it.
+  const AdvanceSummary summary = engine.last_advance_summary();
+  ASSERT_FALSE(summary.topics.empty());
+  manager.Subscribe(MakeQuery(UnitVector(summary.topics[0].topic)),
+                    Recorder(&log));
+  ASSERT_TRUE(manager.EvaluateAffected(engine.last_advance_summary()).ok());
   EXPECT_EQ(log.size(), 1u);  // fresh registration fires
-  const std::int64_t evals = manager.subscriptions().totals().evaluations;
-  ASSERT_TRUE(manager.EvaluateAll().ok());
-  ASSERT_TRUE(manager.EvaluateAll().ok());
-  EXPECT_EQ(manager.subscriptions().totals().evaluations, evals);
+  const std::int64_t evals = manager.totals().evaluations;
+  ASSERT_TRUE(manager.EvaluateAffected(engine.last_advance_summary()).ok());
+  ASSERT_TRUE(manager.EvaluateAffected(engine.last_advance_summary()).ok());
+  EXPECT_EQ(manager.totals().evaluations, evals);
   EXPECT_EQ(log.size(), 1u);
 }
 
