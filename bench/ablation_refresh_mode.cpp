@@ -1,6 +1,6 @@
-// Ablation (DESIGN.md §5): RefreshMode::kExact (reposition elements whose
-// referrers expired; exact list scores) vs RefreshMode::kPaper (literal
-// Algorithm 1; stale-high scores that stay sound upper bounds).
+// Ablation (README, Design notes): RefreshMode::kExact (reposition elements
+// whose referrers expired; exact list scores) vs RefreshMode::kPaper
+// (literal Algorithm 1; stale-high scores that stay sound upper bounds).
 //
 // Measures both sides of the trade: maintenance cost per element (kPaper
 // saves repositions) and query cost/quality (kPaper's looser bounds retrieve
@@ -14,7 +14,7 @@ int main() {
   using namespace ksir;
   using namespace ksir::bench;
   PrintBanner("Ablation - ranked-list refresh on referrer expiry",
-              "DESIGN.md §5 (not in the paper)");
+              "README, Design notes (not in the paper)");
 
   const std::size_t num_queries = NumQueries(GetScale());
   for (int which = 0; which < 3; ++which) {

@@ -38,7 +38,7 @@ std::size_t NumQueries(Scale scale);
 /// where popular elements gather thousands of in-window references. The
 /// synthetic streams have far smaller in-degrees, so the same role is
 /// played by calibrating eta = mean singleton influence / mean singleton
-/// semantic score over the stream (see CalibrateEta; DESIGN.md §3).
+/// semantic score over the stream (see CalibrateEta; README, Design notes).
 struct Dataset {
   std::string name;
   GeneratedStream stream;

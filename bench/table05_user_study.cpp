@@ -1,4 +1,4 @@
-// Table 5: the user study, reproduced with proxy raters (DESIGN.md §3).
+// Table 5: the user study, reproduced with proxy raters (README, Design notes).
 //
 // 20 trending-topic queries per dataset; five methods (TF-IDF, DIV, Sumblr,
 // REL, k-SIR) each return five elements; three simulated raters rank the
@@ -51,7 +51,7 @@ std::vector<QuerySpec> TrendingQueries(const Dataset& dataset,
 
 int main() {
   PrintBanner("Table 5 - user study with proxy raters",
-              "EDBT'19 Table 5 (simulated; see DESIGN.md §3)");
+              "EDBT'19 Table 5 (simulated; see README, Design notes)");
 
   constexpr int kResultSize = 5;  // the paper returns sets of five elements
   for (int which = 0; which < 3; ++which) {

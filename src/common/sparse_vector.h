@@ -29,7 +29,7 @@ class SparseVector {
   /// Builds from a dense vector keeping entries with value >= `threshold`,
   /// then renormalizing survivors to sum to 1. When no entry passes the
   /// threshold the single largest entry is kept. Used for topic-vector
-  /// truncation (DESIGN.md §5).
+  /// truncation (README, Design notes).
   static SparseVector TruncateAndNormalize(const std::vector<double>& dense,
                                            double threshold);
 

@@ -249,29 +249,24 @@ void IndexMaintainer::Apply(const ActiveWindow::UpdateResult& update) {
         *t.user_slot = nullptr;
       }
       if (!erase_topics_.empty()) {
-        // Canonical topic order keeps the topic -> shard assignment (and so
-        // the worker each list lands on) stable across buckets and runs.
-        std::sort(erase_topics_.begin(), erase_topics_.end());
         const std::size_t shards = std::min(workers_, erase_topics_.size());
         for (std::size_t i = 0; i < erase_topics_.size(); ++i) {
           const auto slot = static_cast<std::size_t>(erase_topics_[i]);
           erase_seen_[slot] = 0;  // restored for the next bucket
           topic_shard_[slot] = static_cast<std::uint32_t>(i % shards);
         }
-        ParallelRunAffine(
-            pool_, shards, shards, [&](std::size_t, std::size_t shard) {
-              // Each shard scans the full item sequence and executes only
-              // its topics' erases: per-list element order is preserved by
-              // construction, and the shards-many passes over the packed
-              // item vector are cheap next to the chunk memmoves they feed.
-              for (const PendingErase& e : erase_items_) {
-                if (topic_shard_[static_cast<std::size_t>(e.topic)] !=
-                    shard) {
-                  continue;
-                }
-                index_->EraseListEntry(e.topic, e.id, e.score, e.handle);
-              }
-            });
+        ParallelRun(pool_, shards, [&](std::size_t shard) {
+          // Each shard scans the full item sequence and executes only its
+          // topics' erases: per-list element order is preserved by
+          // construction, and the shards-many passes over the packed item
+          // vector are cheap next to the chunk memmoves they feed.
+          for (const PendingErase& e : erase_items_) {
+            if (topic_shard_[static_cast<std::size_t>(e.topic)] != shard) {
+              continue;
+            }
+            index_->EraseListEntry(e.topic, e.id, e.score, e.handle);
+          }
+        });
       }
     }
     {
@@ -433,39 +428,35 @@ void IndexMaintainer::Apply(const ActiveWindow::UpdateResult& update) {
         insert_off[touched_.size()] = ins;
         update_off[touched_.size()] = upd;
         // Stage 4b (topic-sharded): the scatter itself. Each shard owns a
-        // disjoint topic subset — the same i % shards residue stage 5
-        // prefers through ParallelRunAffine, so the participant that
-        // writes a topic's runs is the one that applies them next. A shard
-        // scans the element-ordered item lists and advances only its
-        // topics' cursors, so the runs land byte-identically whatever the
-        // shard count.
+        // disjoint topic subset (the i % shards residue), scans the
+        // element-ordered item lists and advances only its topics'
+        // cursors, so the runs land byte-identically whatever the shard
+        // count.
         const std::size_t shards = std::min(workers_, touched_.size());
         for (std::size_t i = 0; i < touched_.size(); ++i) {
           topic_shard_[static_cast<std::size_t>(touched_[i])] =
               static_cast<std::uint32_t>(i % shards);
         }
-        ParallelRunAffine(
-            pool_, shards, shards, [&](std::size_t, std::size_t shard) {
-              for (const FreshItem& item : fresh_items_) {
-                const ElementId id = item.element->id;
-                for (ScoreCache::TopicHalves& half : *item.halves) {
-                  const auto topic = static_cast<std::size_t>(half.topic);
-                  if (topic_shard_[topic] != shard) continue;
-                  insert_runs[insert_counts_[topic]++] =
-                      PendingInsert{id, half.listed, &half.handle};
-                }
-              }
-              for (const TouchedItem& item : touched_items_) {
-                if (!item.reposition) continue;  // summary-only, folded above
-                for (std::uint32_t i = 0; i < item.num_updates; ++i) {
-                  const auto topic =
-                      static_cast<std::size_t>(item.updates[i].topic);
-                  if (topic_shard_[topic] != shard) continue;
-                  update_runs[topic_counts_[topic]++] =
-                      item.updates[i].payload;
-                }
-              }
-            });
+        ParallelRun(pool_, shards, [&](std::size_t shard) {
+          for (const FreshItem& item : fresh_items_) {
+            const ElementId id = item.element->id;
+            for (ScoreCache::TopicHalves& half : *item.halves) {
+              const auto topic = static_cast<std::size_t>(half.topic);
+              if (topic_shard_[topic] != shard) continue;
+              insert_runs[insert_counts_[topic]++] =
+                  PendingInsert{id, half.listed, &half.handle};
+            }
+          }
+          for (const TouchedItem& item : touched_items_) {
+            if (!item.reposition) continue;  // summary-only, folded above
+            for (std::uint32_t i = 0; i < item.num_updates; ++i) {
+              const auto topic =
+                  static_cast<std::size_t>(item.updates[i].topic);
+              if (topic_shard_[topic] != shard) continue;
+              update_runs[topic_counts_[topic]++] = item.updates[i].payload;
+            }
+          }
+        });
       }
     }
 
@@ -475,19 +466,23 @@ void IndexMaintainer::Apply(const ActiveWindow::UpdateResult& update) {
     // A topic is executed by exactly one participant and no list state is
     // shared across topics, so there is no list-level locking, and handle
     // minting and the ScoreCache handle write-backs do not depend on the
-    // participant count. ParallelRunAffine gives unit i the i % P residue
-    // that scattered its runs in stage 4b — warm caches — while the steal
-    // sweep keeps the stage work-conserving.
-    ParallelRunAffine(
-        pool_, workers_, touched_.size(), [&](std::size_t, std::size_t i) {
-          const TopicId topic = touched_[i];
-          for (std::uint32_t k = insert_off[i]; k < insert_off[i + 1]; ++k) {
-            *insert_runs[k].handle = index_->InsertListEntry(
-                topic, insert_runs[k].id, insert_runs[k].score);
-          }
-          index_->RepositionHandles(topic, update_runs + update_off[i],
-                                    update_off[i + 1] - update_off[i]);
-        });
+    // participant count. Participants claim topics from a shared cursor,
+    // capped at workers_ however large the pool is.
+    const std::size_t units = touched_.size();
+    std::atomic<std::size_t> cursor{0};
+    ParallelRun(pool_, std::min(workers_, units), [&](std::size_t) {
+      for (;;) {
+        const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+        if (i >= units) return;
+        const TopicId topic = touched_[i];
+        for (std::uint32_t k = insert_off[i]; k < insert_off[i + 1]; ++k) {
+          *insert_runs[k].handle = index_->InsertListEntry(
+              topic, insert_runs[k].id, insert_runs[k].score);
+        }
+        index_->RepositionHandles(topic, update_runs + update_off[i],
+                                  update_off[i + 1] - update_off[i]);
+      }
+    });
     // Restore the lazily-zeroed counters for the next bucket.
     for (const TopicId topic : touched_) {
       insert_counts_[static_cast<std::size_t>(topic)] = 0;

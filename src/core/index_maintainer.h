@@ -21,7 +21,7 @@ namespace ksir {
 
 class WorkerPool;
 
-/// How ranked-list scores react to referrer expiry (DESIGN.md §5).
+/// How ranked-list scores react to referrer expiry (README, Design notes).
 enum class RefreshMode {
   /// Reposition elements whose referrers expired: list scores are always
   /// exactly delta_i(e). Default.
@@ -87,13 +87,13 @@ enum class ScoreMaintenance {
 /// so lists, handles, t_e and ScoreCache state are BITWISE identical
 /// across participant counts. The advancing thread is participant 0.
 /// Without a pool, or with `parallel_workers < 2`, it is the only one: the
-/// stages' ParallelRun / ParallelRunAffine calls then run inline and never
-/// touch a pool. With a WorkerPool and `parallel_workers >= 2` the sharded
-/// stages fan out, the topic-keyed ones through ParallelRunAffine, so the
-/// same topic shard lands on the same pool worker bucket after bucket
-/// (cache affinity; see runtime/worker_pool.h). The fan-out pays at high
-/// bucket density: with 4 threads on 4 cores at 10x paper bucket density
-/// it halved wall-clock bucket p50 (see README).
+/// stages' ParallelRun calls then run inline and never touch a pool. With
+/// a WorkerPool and `parallel_workers >= 2` the sharded stages fan out
+/// through ParallelRun over at most `parallel_workers` participants: one
+/// index per topic shard for the expiry erases and the gather scatter, and
+/// participants claiming from a shared cursor for the score stage
+/// (elements) and the list apply (topics). A larger shared pool never
+/// raises the participant count.
 ///
 /// `carry_handles = false` switches off one layer of the pipeline, never
 /// selecting a different apply: list handles are not read (positions
@@ -268,8 +268,8 @@ class IndexMaintainer {
   std::vector<TopicId> erase_topics_;
   std::vector<std::uint8_t> erase_seen_;
   /// Dense topic -> owning shard map for the bucket's topic-sharded stages
-  /// (expiry erases; gather scatter + list apply). Never reset: a bucket
-  /// only reads the topics it wrote first.
+  /// (expiry erases, gather scatter). Never reset: a bucket only reads the
+  /// topics it wrote first.
   std::vector<std::uint32_t> topic_shard_;
   std::vector<FreshItem> fresh_items_;
   std::vector<TouchedItem> touched_items_;

@@ -1,4 +1,4 @@
-// Proxy user study (Table 5 substitution, DESIGN.md §3).
+// Proxy user study (Table 5 substitution, README, Design notes).
 //
 // The paper recruits 30 volunteers; 3 raters rank each query's five result
 // sets on two aspects — representativeness and impact — mapped to 1..5, and

@@ -6,7 +6,7 @@
 // standing in for Sumblr's online tweet-cluster vectors) and picks one
 // representative per cluster by LexRank centrality blended with an influence
 // weight (in-window reference count, standing in for Sumblr's author
-// PageRank — substitution documented in DESIGN.md §3).
+// PageRank — substitution documented in the README's Design notes).
 #ifndef KSIR_SEARCH_SUMBLR_H_
 #define KSIR_SEARCH_SUMBLR_H_
 

@@ -73,23 +73,16 @@ StatusOr<QueryResult> QueryPlanner::Plan(const KsirQuery& query) const {
 
   // --- Step 1: fan the query out to every shard in parallel. ---
   std::vector<ShardAnswer> answers(shards_.size());
-  {
-    TaskGroup group(pool_);
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      group.Submit([this, i, &query, &answers]() {
-        StageScope scope(telemetry_, shard_fanout_hists_[i],
-                         "planner.fanout");
-        ShardAnswer& answer = answers[i];
-        auto result = shards_[i]->QueryWithTerms(query, &answer.terms);
-        if (result.ok()) {
-          answer.result = *std::move(result);
-        } else {
-          answer.status = result.status();
-        }
-      });
+  ParallelRun(pool_, shards_.size(), [&](std::size_t i) {
+    StageScope scope(telemetry_, shard_fanout_hists_[i], "planner.fanout");
+    ShardAnswer& answer = answers[i];
+    auto result = shards_[i]->QueryWithTerms(query, &answer.terms);
+    if (result.ok()) {
+      answer.result = *std::move(result);
+    } else {
+      answer.status = result.status();
     }
-    group.Wait();
-  }
+  });
   for (const ShardAnswer& answer : answers) {
     KSIR_RETURN_NOT_OK(answer.status);
   }

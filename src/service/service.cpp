@@ -14,6 +14,16 @@ Status ValidateServiceConfig(const ServiceConfig& config) {
   if (config.num_shards < 1) {
     return Status::InvalidArgument("num_shards must be >= 1");
   }
+  // The pool spawns num_workers threads (or max(num_shards,
+  // maintenance_threads) when num_workers is 0): an absurd value must fail
+  // here, not exhaust the process inside Create, under the same cap as
+  // ValidateEngineConfig's maintenance_threads.
+  if (config.num_shards > 256) {
+    return Status::InvalidArgument("num_shards must be <= 256");
+  }
+  if (config.num_workers > 256) {
+    return Status::InvalidArgument("num_workers must be <= 256");
+  }
   if (config.cache_capacity < 1) {
     return Status::InvalidArgument("cache_capacity must be >= 1");
   }
@@ -47,16 +57,10 @@ KsirService::KsirService(ServiceConfig config, const TopicModel* model)
       config_.num_shards, UsesParallelMaintenance(config_.engine)
                               ? config_.engine.maintenance_threads
                               : std::size_t{1});
-  if (config_.shared_pool != nullptr) {
-    pool_ = config_.shared_pool;
-  } else {
-    owned_pool_ =
-        MakeWorkerPool(config_.num_workers, default_workers, telemetry_.get(),
-                       PoolOptions{config_.pin_workers});
-    pool_ = owned_pool_.get();
-  }
+  pool_ =
+      MakeWorkerPool(config_.num_workers, default_workers, telemetry_.get());
   WorkerPool* maintenance_pool =
-      UsesParallelMaintenance(config_.engine) ? pool_ : nullptr;
+      UsesParallelMaintenance(config_.engine) ? pool_.get() : nullptr;
   shards_.reserve(config_.num_shards);
   std::vector<KsirEngine*> shard_ptrs;
   for (std::size_t i = 0; i < config_.num_shards; ++i) {
@@ -68,8 +72,8 @@ KsirService::KsirService(ServiceConfig config, const TopicModel* model)
       config_.num_shards, config_.engine.max_shard_imbalance,
       config_.engine.window_length);
   ingestor_ = std::make_unique<ShardedIngestor>(shard_ptrs, router_.get(),
-                                                pool_, telemetry_.get());
-  planner_ = std::make_unique<QueryPlanner>(shard_ptrs, model, pool_,
+                                                pool_.get(), telemetry_.get());
+  planner_ = std::make_unique<QueryPlanner>(shard_ptrs, model, pool_.get(),
                                             telemetry_.get());
   summaries_scratch_.resize(config_.num_shards);
   MetricRegistry& reg = telemetry_->registry();

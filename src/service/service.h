@@ -26,6 +26,13 @@
 // shards' advance summaries (topic union, max movement) and runs one
 // EvaluateAffected round over the merged summary.
 //
+// The service owns one WorkerPool (one FIFO queue). The ingestor's shard
+// advances, the planner's shard queries and, with
+// engine.maintenance_threads >= 2, every shard's staged bucket apply all
+// fan out on it through ParallelRun; the calling thread runs part of each
+// fan-out itself, so the nested shard -> maintenance fan-out completes even
+// on a one-thread pool.
+//
 // One writer thread ingests buckets; any number of reader threads query.
 // This façade is the seam every scaling direction plugs into: more shards,
 // asynchronous ingestion, replicated shards, or remote shard backends all
@@ -56,27 +63,16 @@ namespace ksir {
 struct ServiceConfig {
   /// Per-shard engine configuration (window/bucket lengths, scoring).
   EngineConfig engine;
-  /// Number of shard engines (>= 1).
+  /// Number of shard engines (1..256).
   std::size_t num_shards = 4;
-  /// Worker threads shared by ingestion, query fan-out AND the shards'
-  /// parallel maintenance stages (when engine.maintenance_threads >= 2 the
-  /// shard engines fan their staged bucket apply out on this same pool —
-  /// one process-wide pool instead of a pool per shard; caller
-  /// participation keeps nested fan-out deadlock-free). 0 = num_shards,
-  /// raised to engine.maintenance_threads when that is larger; size it
-  /// near num_shards * maintenance_threads to run both levels fully
-  /// parallel.
+  /// Worker threads (<= 256) of the service's one pool, shared by
+  /// ingestion, query fan-out AND the shards' parallel maintenance stages
+  /// (when engine.maintenance_threads >= 2 the shard engines fan their
+  /// staged bucket apply out on this same pool; caller participation keeps
+  /// the nested fan-out deadlock-free). 0 = num_shards, raised to
+  /// engine.maintenance_threads when that is larger; size it near
+  /// num_shards * maintenance_threads to run both levels fully parallel.
   std::size_t num_workers = 0;
-  /// Pin the service-owned pool's workers to CPUs (PoolOptions::
-  /// pin_threads): with the maintainer's shard-affine stages, the same
-  /// topic shard then lands on the same core bucket after bucket.
-  /// Best-effort — refused pins are counted, never fatal. Ignored when
-  /// `shared_pool` is passed (the pool's owner decided its pinning).
-  bool pin_workers = false;
-  /// Optional externally owned pool (must outlive the service): lets
-  /// several services / engines in one process share one pool. nullptr =
-  /// the service builds its own through the runtime factory.
-  WorkerPool* shared_pool = nullptr;
   /// Result-cache entries kept across one epoch (>= 1).
   std::size_t cache_capacity = 4096;
   /// Query-vector quantization step of the cache key.
@@ -179,11 +175,9 @@ class KsirService {
   /// Service-wide telemetry; declared before every component that records
   /// into it (pool, shards, ingestor, planner, cache).
   std::unique_ptr<Telemetry> telemetry_;
-  /// Service-owned pool (absent when config.shared_pool was passed);
-  /// declared before the shards, which hold the raw pointer through their
-  /// maintainers.
-  std::unique_ptr<WorkerPool> owned_pool_;
-  WorkerPool* pool_ = nullptr;
+  /// The service's pool; declared before the shards, which hold the raw
+  /// pointer through their maintainers.
+  std::unique_ptr<WorkerPool> pool_;
   std::vector<std::unique_ptr<KsirEngine>> shards_;
   std::unique_ptr<ShardRouter> router_;
   std::unique_ptr<ShardedIngestor> ingestor_;

@@ -98,21 +98,18 @@ Status ShardedIngestor::AdvanceTo(Timestamp bucket_end,
     parts[shard].push_back(std::move(e));
   }
 
-  // Advance all shards in parallel; empty sub-buckets still advance the
-  // shard clock (expiry must happen everywhere).
+  // Advance all shards in parallel (the calling thread advances one of
+  // them itself); empty sub-buckets still advance the shard clock (expiry
+  // must happen everywhere).
   WallTimer timer;
   std::vector<Status> statuses(shards_.size());
-  TaskGroup group(pool_);
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    group.Submit([this, i, bucket_end, &parts, &statuses]() {
+  try {
+    ParallelRun(pool_, shards_.size(), [&](std::size_t i) {
       statuses[i] = shards_[i]->AdvanceTo(bucket_end, std::move(parts[i]));
     });
-  }
-  try {
-    group.Wait();
   } catch (...) {
-    // A shard task threw (WorkerPool now surfaces that instead of dying):
-    // its status slot still reads OK, so no per-shard status can be
+    // A shard advance threw (ParallelRun rethrows it once every shard has
+    // finished): its status slot still reads OK, so no per-shard status can be
     // trusted. Roll the whole bucket out of the routing table before
     // rethrowing — shards may retain elements (the clocks/contents can
     // diverge, as with any partial failure), but the router must never

@@ -5,7 +5,7 @@
 // redistributable, so the benchmarks generate streams that match the
 // *post-preprocessing* statistics of Table 3 (average length, average
 // references) and — more importantly — the structural properties the
-// algorithms exploit (DESIGN.md §3):
+// algorithms exploit (README, Design notes):
 //   1. skewed element scores: Zipfian topic popularity and word frequencies;
 //   2. sparse topic vectors: sparse Dirichlet document-topic mixtures
 //      (< 2 topics per element on average);
@@ -62,7 +62,7 @@ struct StreamProfile {
   double core_block_factor = 1.0;
   /// References may only target elements at most this much older; keep
   /// <= the engine's window length T so the active-set semantics of
-  /// Section 3.1 hold exactly (see DESIGN.md).
+  /// Section 3.1 hold exactly (see README, Design notes).
   Timestamp ref_horizon = 24 * 3600;
   /// Exponential recency decay (time units) of reference target choice.
   double ref_recency_tau = 6 * 3600;

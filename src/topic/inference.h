@@ -36,7 +36,8 @@ struct InferenceOptions {
   /// Biterm co-occurrence window (kBiterm only).
   std::int32_t biterm_window = 15;
   /// Entries below this probability are dropped from the sparse vector and
-  /// the remainder renormalized (DESIGN.md §5; keeps topic vectors sparse).
+  /// the remainder renormalized (README, Design notes; keeps topic vectors
+  /// sparse).
   double sparsity_threshold = 0.05;
   std::uint64_t seed = 11;
 };

@@ -13,7 +13,8 @@
 // the window at t = 6 yet belongs to A_8 via e7/e8). To honor that, inactive
 // elements are retained in an archive for `archive_retention` time units and
 // are resurrected when referenced again; references to elements older than
-// the retention horizon are counted as dangling and ignored (DESIGN.md §3).
+// the retention horizon are counted as dangling and ignored (README, Design
+// notes).
 //
 // For each active element e the store keeps I_t(e): the in-window elements
 // referring to e, which is exactly the influenced set of the influence score

@@ -80,10 +80,10 @@ void CheckNaiveRebuild(const KsirEngine& engine, Timestamp t,
 
 /// Feeds the same random stream to four engines bucket by bucket — the
 /// staged apply with one participant (production default), the same apply
-/// fanned out over three (maintenance_threads = 3), the AFFINE flavor of
-/// the fan-out (maintenance_threads = 4 on an externally shared CPU-pinned
-/// pool: topic-sharded expiry + gather + list apply riding
-/// ParallelRunAffine) and the from-scratch score source — checking
+/// fanned out over three (maintenance_threads = 3, engine-owned pool), the
+/// same apply at maintenance_threads = 4 on an external pool with MORE
+/// threads than helpers (participants stay capped at 4) and the
+/// from-scratch score source — checking
 /// list-state equality after every advance. The three incremental engines
 /// must agree bitwise (they compose identical doubles from the same cache,
 /// and every list sees the same operation order at every participant
@@ -107,20 +107,19 @@ void RunEquivalenceStream(std::uint64_t seed, RefreshMode mode) {
   // ...vs. the staged parallel apply of the same pipeline...
   EngineConfig parallel_config = handle_config;
   parallel_config.maintenance_threads = 3;
-  // ...vs. the same staged apply at a different worker count, on a shared
-  // pool with CPU pinning requested (exercises SubmitTo placement, the
-  // steal path, and pin fallback on restricted runners — determinism must
-  // not depend on where the shards physically run)...
-  EngineConfig affine_config = handle_config;
-  affine_config.maintenance_threads = 4;
+  // ...vs. the same staged apply at a different worker count, on an
+  // external pool wider than the participant cap (determinism must not
+  // depend on which threads run the shards)...
+  EngineConfig shared_config = handle_config;
+  shared_config.maintenance_threads = 4;
   // ...vs. the from-scratch score source in the same pipeline.
   EngineConfig recompute_config = handle_config;
   recompute_config.score_maintenance = ScoreMaintenance::kRecompute;
 
   KsirEngine handle(handle_config, &model);
   KsirEngine parallel(parallel_config, &model);
-  auto affine_pool = MakeWorkerPool(3, 1, nullptr, PoolOptions{true});
-  KsirEngine affine(affine_config, &model, affine_pool.get());
+  auto wide_pool = MakeWorkerPool(6);
+  KsirEngine shared(shared_config, &model, wide_pool.get());
   KsirEngine recompute(recompute_config, &model);
 
   ElementId next_id = 1;
@@ -141,14 +140,14 @@ void RunEquivalenceStream(std::uint64_t seed, RefreshMode mode) {
               });
     ASSERT_TRUE(handle.AdvanceTo(bucket_end, bucket).ok());
     ASSERT_TRUE(parallel.AdvanceTo(bucket_end, bucket).ok());
-    ASSERT_TRUE(affine.AdvanceTo(bucket_end, bucket).ok());
+    ASSERT_TRUE(shared.AdvanceTo(bucket_end, bucket).ok());
     ASSERT_TRUE(recompute.AdvanceTo(bucket_end, std::move(bucket)).ok());
 
     if (mode == RefreshMode::kExact) {
       ASSERT_NO_FATAL_FAILURE(CheckNaiveRebuild(handle, bucket_end, "handle"));
       ASSERT_NO_FATAL_FAILURE(
           CheckNaiveRebuild(parallel, bucket_end, "parallel"));
-      ASSERT_NO_FATAL_FAILURE(CheckNaiveRebuild(affine, bucket_end, "affine"));
+      ASSERT_NO_FATAL_FAILURE(CheckNaiveRebuild(shared, bucket_end, "shared"));
       ASSERT_NO_FATAL_FAILURE(
           CheckNaiveRebuild(recompute, bucket_end, "recompute"));
     }
@@ -164,7 +163,7 @@ void RunEquivalenceStream(std::uint64_t seed, RefreshMode mode) {
     ASSERT_EQ(handle.index().total_entries(),
               parallel.index().total_entries());
     ASSERT_EQ(handle.index().total_entries(),
-              affine.index().total_entries());
+              shared.index().total_entries());
     for (ElementId id : iw.ActiveIds()) {
       const SocialElement* e = iw.Find(id);
       ASSERT_NE(e, nullptr);
@@ -180,7 +179,7 @@ void RunEquivalenceStream(std::uint64_t seed, RefreshMode mode) {
       // t_e is per element; all engines must agree exactly.
       EXPECT_EQ(handle.index().TimeOf(id), parallel.index().TimeOf(id))
           << "t=" << bucket_end << " e=" << id;
-      EXPECT_EQ(handle.index().TimeOf(id), affine.index().TimeOf(id))
+      EXPECT_EQ(handle.index().TimeOf(id), shared.index().TimeOf(id))
           << "t=" << bucket_end << " e=" << id;
       EXPECT_EQ(handle.index().TimeOf(id), recompute.index().TimeOf(id));
     }
@@ -189,18 +188,18 @@ void RunEquivalenceStream(std::uint64_t seed, RefreshMode mode) {
     for (TopicId topic = 0; topic < kNumTopics; ++topic) {
       const auto& hlist = handle.index().list(topic);
       const auto& plist = parallel.index().list(topic);
-      const auto& alist = affine.index().list(topic);
+      const auto& slist = shared.index().list(topic);
       ASSERT_EQ(hlist.size(), plist.size());
-      ASSERT_EQ(hlist.size(), alist.size());
+      ASSERT_EQ(hlist.size(), slist.size());
       auto pit = plist.begin();
-      auto ait = alist.begin();
+      auto sit = slist.begin();
       for (const auto& key : hlist) {
         ASSERT_EQ(key.id, pit->id) << "t=" << bucket_end << " topic=" << topic;
         ASSERT_EQ(key.score, pit->score);
-        ASSERT_EQ(key.id, ait->id) << "t=" << bucket_end << " topic=" << topic;
-        ASSERT_EQ(key.score, ait->score);
+        ASSERT_EQ(key.id, sit->id) << "t=" << bucket_end << " topic=" << topic;
+        ASSERT_EQ(key.score, sit->score);
         ++pit;
-        ++ait;
+        ++sit;
       }
     }
   }
@@ -217,16 +216,16 @@ void RunEquivalenceStream(std::uint64_t seed, RefreshMode mode) {
     query.algorithm = algorithm;
     const auto lhs = handle.Query(query);
     const auto par = parallel.Query(query);
-    const auto aff = affine.Query(query);
+    const auto shr = shared.Query(query);
     const auto rhs = recompute.Query(query);
     ASSERT_TRUE(lhs.ok());
     ASSERT_TRUE(par.ok());
-    ASSERT_TRUE(aff.ok());
+    ASSERT_TRUE(shr.ok());
     ASSERT_TRUE(rhs.ok());
     EXPECT_EQ(lhs->element_ids, par->element_ids) << AlgorithmName(algorithm);
     EXPECT_EQ(lhs->score, par->score) << AlgorithmName(algorithm);
-    EXPECT_EQ(lhs->element_ids, aff->element_ids) << AlgorithmName(algorithm);
-    EXPECT_EQ(lhs->score, aff->score) << AlgorithmName(algorithm);
+    EXPECT_EQ(lhs->element_ids, shr->element_ids) << AlgorithmName(algorithm);
+    EXPECT_EQ(lhs->score, shr->score) << AlgorithmName(algorithm);
     EXPECT_EQ(lhs->element_ids, rhs->element_ids)
         << AlgorithmName(algorithm);
     EXPECT_NEAR(lhs->score, rhs->score, kTol) << AlgorithmName(algorithm);

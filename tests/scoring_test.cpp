@@ -152,7 +152,8 @@ TEST_F(PaperScoringTest, Example34BalancedQueryOptimum) {
 
 TEST_F(PaperScoringTest, Example34SkewedQueryOptimum) {
   // f({e1, e2}, (0.1, 0.9)): the paper rounds to 0.94; exact arithmetic on
-  // Table 1's two-decimal probabilities gives ~0.951 (see DESIGN.md §7).
+  // Table 1's two-decimal probabilities gives ~0.951 (see README, Design
+  // notes).
   const SparseVector x = SkewedQueryVector();
   CandidateState state(&ctx(), &x);
   state.Add(e(1));

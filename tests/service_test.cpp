@@ -2,6 +2,7 @@
 // planning invariants (property-style, à la the EK-KOR2 suite), the
 // epoch-keyed result cache, and the service façade.
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <limits>
@@ -41,24 +42,18 @@ using ::ksir::testing::PaperTopicModel;
 // ---- worker pool -----------------------------------------------------------
 
 TEST(WorkerPoolTest, RunsEverySubmittedTask) {
-  WorkerPool pool(3);
+  Telemetry telemetry;
+  WorkerPool pool(3, &telemetry);
   std::atomic<int> count{0};
   for (int i = 0; i < 100; ++i) {
     pool.Submit([&count]() { count.fetch_add(1); });
   }
   pool.WaitIdle();
   EXPECT_EQ(count.load(), 100);
-}
-
-TEST(WorkerPoolTest, TaskGroupWaitsOnlyOnOwnTasks) {
-  WorkerPool pool(2);
-  std::atomic<int> group_count{0};
-  TaskGroup group(&pool);
-  for (int i = 0; i < 16; ++i) {
-    group.Submit([&group_count]() { group_count.fetch_add(1); });
-  }
-  group.Wait();
-  EXPECT_EQ(group_count.load(), 16);
+  // Drained pool: the queue-depth gauge is back at 0, every task counted.
+  MetricRegistry& reg = telemetry.registry();
+  EXPECT_EQ(reg.GetGauge("ksir_pool_queue_depth")->Value(), 0);
+  EXPECT_EQ(reg.GetCounter("ksir_pool_tasks_total")->Value(), 100);
 }
 
 TEST(WorkerPoolTest, ThrowingTaskDoesNotDeadlockWaitIdle) {
@@ -76,81 +71,67 @@ TEST(WorkerPoolTest, ThrowingTaskDoesNotDeadlockWaitIdle) {
   EXPECT_EQ(count.load(), 8);
 }
 
-TEST(WorkerPoolTest, ThrowingGroupTaskPropagatesToGroupWaiter) {
-  // Regression: a throwing group task used to skip the pending_ decrement,
-  // leaving Wait blocked forever.
+TEST(WorkerPoolTest, ConcurrentParallelRunsWaitOnlyOnTheirOwnIndices) {
+  // Two callers share one 2-thread pool. Caller A's index 0 blocks until
+  // caller B's whole ParallelRun has returned: B must not wait on A's
+  // work, and each call returns with exactly its own indices run.
   WorkerPool pool(2);
-  TaskGroup group(&pool);
-  std::atomic<int> ran{0};
-  group.Submit([]() { throw std::runtime_error("group boom"); });
-  for (int i = 0; i < 4; ++i) {
-    group.Submit([&ran]() { ran.fetch_add(1); });
-  }
-  EXPECT_THROW(group.Wait(), std::runtime_error);
-  EXPECT_EQ(ran.load(), 4);
-  // The group's exception belongs to the group: the pool-level barrier
-  // must not see it, and a second Wait returns cleanly.
-  pool.WaitIdle();
-  group.Wait();
-}
-
-TEST(WorkerPoolTest, StealKeepsAffineSubmissionWorkConserving) {
-  // SubmitTo homes tasks on one worker's queue; an idle neighbor must
-  // steal them rather than sit out (affinity is a preference, never a
-  // stall), and the steal counter must see the migration.
-  Telemetry telemetry;
-  WorkerPool pool(2, &telemetry);
-  Counter* steals = telemetry.registry().GetCounter("ksir_pool_steals_total");
-  const std::int64_t steals_before = steals->Value();
-  std::atomic<int> count{0};
+  constexpr std::size_t kN = 4;
+  std::array<std::atomic<int>, kN> a_runs{};
+  std::array<std::atomic<int>, kN> b_runs{};
   std::mutex m;
   std::condition_variable cv;
+  bool a_blocked = false;
   bool release = false;
-  // Occupy one worker until the whole batch has run: whichever worker
-  // holds the blocker, the other must cross queues for some of the work.
-  pool.SubmitTo(0, [&] {
-    std::unique_lock<std::mutex> lock(m);
-    cv.wait(lock, [&] { return release; });
-  });
-  for (int i = 0; i < 8; ++i) {
-    pool.SubmitTo(0, [&] {
-      if (count.fetch_add(1) + 1 == 8) {
-        std::lock_guard<std::mutex> lock(m);
-        release = true;
-        cv.notify_all();
-      }
+  std::atomic<bool> a_returned{false};
+  std::thread caller_a([&]() {
+    ParallelRun(&pool, kN, [&](std::size_t i) {
+      a_runs[i].fetch_add(1);
+      if (i != 0) return;
+      std::unique_lock<std::mutex> lock(m);
+      a_blocked = true;
+      cv.notify_all();
+      cv.wait(lock, [&] { return release; });
     });
+    a_returned.store(true);
+  });
+  {
+    std::unique_lock<std::mutex> lock(m);
+    cv.wait(lock, [&] { return a_blocked; });
   }
-  pool.WaitIdle();
-  EXPECT_EQ(count.load(), 8);
-  EXPECT_GE(steals->Value() - steals_before, 1);
-  // Drained pool: every per-worker depth gauge (and the aggregate) is 0.
-  EXPECT_EQ(
-      telemetry.registry().GetGauge("ksir_pool_queue_depth")->Value(), 0);
-  EXPECT_EQ(
-      telemetry.registry().GetGauge("ksir_pool_queue_depth_worker_0")->Value(),
-      0);
-  EXPECT_EQ(
-      telemetry.registry().GetGauge("ksir_pool_queue_depth_worker_1")->Value(),
-      0);
+  ParallelRun(&pool, kN, [&](std::size_t i) { b_runs[i].fetch_add(1); });
+  EXPECT_FALSE(a_returned.load());
+  EXPECT_EQ(a_runs[0].load(), 1);
+  for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(b_runs[i].load(), 1);
+  {
+    std::lock_guard<std::mutex> lock(m);
+    release = true;
+  }
+  cv.notify_all();
+  caller_a.join();
+  EXPECT_TRUE(a_returned.load());
+  for (std::size_t i = 0; i < kN; ++i) {
+    EXPECT_EQ(a_runs[i].load(), 1) << "index " << i;
+    EXPECT_EQ(b_runs[i].load(), 1) << "index " << i;
+  }
 }
 
-TEST(WorkerPoolTest, PinningIsBestEffortAndAccounted) {
-  // Every worker either got its CPU or was counted as a refused pin —
-  // never a construction failure, and the pool works either way.
-  Telemetry telemetry;
-  WorkerPool pool(3, &telemetry, PoolOptions{/*pin_threads=*/true});
-  const auto failures = static_cast<std::size_t>(
-      telemetry.registry()
-          .GetCounter("ksir_pool_pin_failures_total")
-          ->Value());
-  EXPECT_EQ(pool.pinned_threads() + failures, 3u);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 32; ++i) {
-    pool.Submit([&count] { count.fetch_add(1); });
-  }
+TEST(WorkerPoolTest, ParallelRunExceptionReachesItsOwnCaller) {
+  // A throwing index must not strand the call: every other index still
+  // runs, and the exception belongs to the call — the pool-level barrier
+  // never sees it, and the pool stays usable.
+  WorkerPool pool(2);
+  std::atomic<int> ran{0};
+  EXPECT_THROW(ParallelRun(&pool, 8,
+                           [&](std::size_t i) {
+                             if (i == 5) throw std::runtime_error("run boom");
+                             ran.fetch_add(1);
+                           }),
+               std::runtime_error);
+  EXPECT_EQ(ran.load(), 7);
   pool.WaitIdle();
-  EXPECT_EQ(count.load(), 32);
+  ParallelRun(&pool, 4, [&](std::size_t) { ran.fetch_add(1); });
+  EXPECT_EQ(ran.load(), 11);
 }
 
 TEST(WorkerPoolTest, OneParticipantRunsInlineWithoutAPool) {
@@ -164,71 +145,24 @@ TEST(WorkerPoolTest, OneParticipantRunsInlineWithoutAPool) {
     ++ran;
   });
   EXPECT_EQ(ran, 1);
-  constexpr std::size_t kUnits = 37;
-  std::vector<int> runs(kUnits, 0);
-  std::vector<std::size_t> order;
-  for (const std::size_t participants : {0u, 1u}) {
-    ParallelRunAffine(nullptr, participants, kUnits,
-                      [&](std::size_t p, std::size_t u) {
-                        EXPECT_EQ(p, 0u);
-                        EXPECT_EQ(std::this_thread::get_id(), caller);
-                        ++runs[u];
-                        order.push_back(u);
-                      });
-  }
-  // More participants than units clamps to one participant per unit.
-  ParallelRunAffine(nullptr, 4, 1, [&](std::size_t p, std::size_t u) {
-    EXPECT_EQ(p, 0u);
-    EXPECT_EQ(std::this_thread::get_id(), caller);
-    ++runs[u];
-  });
-  for (std::size_t u = 0; u < kUnits; ++u) {
-    EXPECT_EQ(runs[u], u == 0 ? 3 : 2) << "unit " << u;
-    EXPECT_EQ(order[u], u);
-    EXPECT_EQ(order[kUnits + u], u);
-  }
   // Zero work touches nothing either.
   ParallelRun(nullptr, 0, [](std::size_t) { ADD_FAILURE(); });
-  ParallelRunAffine(nullptr, 4, 0,
-                    [](std::size_t, std::size_t) { ADD_FAILURE(); });
 }
 
 TEST(WorkerPoolDeathTest, NullPoolWithHelpersFailsACheck) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(ParallelRun(nullptr, 2, [](std::size_t) {}),
                "pool != nullptr");
-  EXPECT_DEATH(
-      ParallelRunAffine(nullptr, 2, 2, [](std::size_t, std::size_t) {}),
-      "pool != nullptr");
 }
 
-TEST(WorkerPoolTest, ParallelRunAffineExecutesEveryUnitExactlyOnce) {
+TEST(WorkerPoolTest, ParallelRunExecutesEveryIndexExactlyOnce) {
   WorkerPool pool(3);
-  constexpr std::size_t kUnits = 257;  // not a multiple of any stride
-  const auto runs = std::make_unique<std::atomic<int>[]>(kUnits);
-  ParallelRunAffine(&pool, 4, kUnits, [&](std::size_t p, std::size_t u) {
-    EXPECT_LT(p, 4u);
-    runs[u].fetch_add(1);
-  });
-  for (std::size_t u = 0; u < kUnits; ++u) {
-    ASSERT_EQ(runs[u].load(), 1) << "unit " << u;
+  constexpr std::size_t kN = 257;
+  const auto runs = std::make_unique<std::atomic<int>[]>(kN);
+  ParallelRun(&pool, kN, [&](std::size_t i) { runs[i].fetch_add(1); });
+  for (std::size_t i = 0; i < kN; ++i) {
+    ASSERT_EQ(runs[i].load(), 1) << "index " << i;
   }
-  // More participants than units degrades to one participant per unit.
-  std::atomic<int> count{0};
-  ParallelRunAffine(&pool, 8, 3,
-                    [&](std::size_t, std::size_t) { count.fetch_add(1); });
-  EXPECT_EQ(count.load(), 3);
-  // A unit's exception reaches the caller and the pool stays usable.
-  EXPECT_THROW(
-      ParallelRunAffine(&pool, 4, 8,
-                        [](std::size_t, std::size_t u) {
-                          if (u == 5) throw std::runtime_error("affine boom");
-                        }),
-      std::runtime_error);
-  pool.WaitIdle();
-  ParallelRunAffine(&pool, 4, 4,
-                    [&](std::size_t, std::size_t) { count.fetch_add(1); });
-  EXPECT_EQ(count.load(), 7);
 }
 
 // ---- shard router ----------------------------------------------------------
@@ -587,6 +521,25 @@ TEST(ServiceTest, CreateRejectsBadConfig) {
   EXPECT_EQ(KsirService::Create(config, &model).status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_FALSE(KsirService::Create(PaperServiceConfig(2), nullptr).ok());
+}
+
+TEST(ServiceTest, ValidateBoundsShardsAndWorkers) {
+  // The pool is sized from num_workers (or num_shards): both are capped
+  // like maintenance_threads. Checked through ValidateServiceConfig only,
+  // so no case here ever spawns a thread.
+  ServiceConfig config = PaperServiceConfig(256);
+  config.num_workers = 256;
+  EXPECT_TRUE(ValidateServiceConfig(config).ok());
+  config.num_shards = 257;
+  EXPECT_EQ(ValidateServiceConfig(config).code(),
+            StatusCode::kInvalidArgument);
+  config = PaperServiceConfig(2);
+  config.num_workers = 257;
+  EXPECT_EQ(ValidateServiceConfig(config).code(),
+            StatusCode::kInvalidArgument);
+  config.num_workers = std::numeric_limits<std::size_t>::max();
+  EXPECT_EQ(ValidateServiceConfig(config).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(ServiceTest, RejectsMalformedElementsBeforeRouting) {
@@ -1339,13 +1292,11 @@ TEST(ParallelMaintenanceTest, ChurnStreamMatchesSerialUnderConcurrentQueries) {
   }
 }
 
-TEST(ParallelMaintenanceTest, EngineAndServiceShareOneProcessPool) {
-  // The runtime factory's pool is the process-wide seam: a standalone
-  // parallel engine and a sharded service (its shard engines running
-  // parallel maintenance too) share ONE pool, no per-shard or per-engine
-  // pools are spawned, and nested fan-out (shard advance tasks fanning
-  // their maintenance stages out on the same pool) completes without
-  // deadlock thanks to ParallelRun's caller participation.
+TEST(ParallelMaintenanceTest, EnginesShareOneExternalPool) {
+  // The runtime factory's pool is the process-wide seam: two parallel
+  // engines advanced concurrently from two threads fan their staged
+  // applies out on ONE external pool, no per-engine pools are spawned, and
+  // each engine stays bitwise the one-participant engine.
   constexpr int kTopics = 4;
   Rng rng(77);
   std::vector<std::vector<double>> matrix(kTopics, std::vector<double>(32));
@@ -1376,43 +1327,84 @@ TEST(ParallelMaintenanceTest, EngineAndServiceShareOneProcessPool) {
       &model);
   ASSERT_TRUE(serial_reference.Append(elements).ok());
 
-  KsirEngine shared_engine(engine_config, &model, pool.get());
-  ASSERT_TRUE(shared_engine.Append(elements).ok());
+  KsirEngine first(engine_config, &model, pool.get());
+  KsirEngine second(engine_config, &model, pool.get());
+  std::thread other([&]() { ASSERT_TRUE(second.Append(elements).ok()); });
+  ASSERT_TRUE(first.Append(elements).ok());
+  other.join();
 
-  ServiceConfig service_config;
-  service_config.engine = engine_config;
-  service_config.num_shards = 2;
-  service_config.shared_pool = pool.get();
-  auto service = KsirService::Create(service_config, &model);
-  ASSERT_TRUE(service.ok());
-  ASSERT_TRUE((*service)->Append(elements).ok());
-
-  // The pool was never grown or replaced: both consumers ran on the same
+  // The pool was never grown or replaced: both engines ran on the same
   // three threads (plus their callers).
   EXPECT_EQ(pool->num_threads(), 3u);
 
-  // The pool-sharing engine is still bitwise the one-participant engine,
-  // and the service answers sanely off the same pool.
   KsirQuery query;
   query.k = 4;
   query.epsilon = 0.2;
   query.algorithm = Algorithm::kCelf;
   query.x = SparseVector::FromEntries({{0, 0.7}, {3, 0.3}});
   const auto expected = serial_reference.Query(query);
-  const auto actual = shared_engine.Query(query);
-  ASSERT_TRUE(expected.ok() && actual.ok());
-  EXPECT_EQ(actual->element_ids, expected->element_ids);
-  EXPECT_EQ(actual->score, expected->score);
-  const auto service_result = (*service)->Query(query);
-  ASSERT_TRUE(service_result.ok());
-  EXPECT_GE(service_result->score, 0.0);
+  ASSERT_TRUE(expected.ok());
+  for (const KsirEngine* engine : {&first, &second}) {
+    const auto actual = engine->Query(query);
+    ASSERT_TRUE(actual.ok());
+    EXPECT_EQ(actual->element_ids, expected->element_ids);
+    EXPECT_EQ(actual->score, expected->score);
+  }
 }
 
-TEST(ParallelMaintenanceTest, PinnedServiceChurnWithRebalancingMatchesSerial) {
-  // TSan-covered end-to-end churn of the shard-affine runtime: a sharded
-  // service with CPU-pinned workers, four-way parallel maintenance (the
-  // topic-sharded expiry / gather / list-apply stages) and router
-  // rebalancing ingests an expiry + resurrection heavy stream while a
+TEST(ParallelMaintenanceTest, NestedFanOutOnAOneThreadPoolMatchesSerial) {
+  // Three shard advances fan out on a ONE-thread pool, and each shard's
+  // four-participant bucket apply fans out again on that same pool. The
+  // single worker is busy with a shard most of the time, so the nested
+  // stages only finish because every caller can run all of its own
+  // indices; the answers must be the one-participant service's.
+  constexpr int kTopics = 6;
+  Rng rng(2468);
+  std::vector<std::vector<double>> matrix(kTopics, std::vector<double>(48));
+  for (auto& row : matrix) {
+    for (auto& p : row) p = rng.NextDouble() + 0.05;
+  }
+  TopicModel model =
+      std::move(TopicModel::FromMatrix(std::move(matrix))).value();
+  const std::vector<SocialElement> elements =
+      ChurnStream(1200, kTopics, 48, &rng);
+
+  ServiceConfig serial_config;
+  serial_config.engine.scoring.eta = 4.0;
+  serial_config.engine.window_length = 100;
+  serial_config.engine.bucket_length = 10;
+  serial_config.engine.archive_retention = 200;
+  serial_config.num_shards = 3;
+  ServiceConfig nested_config = serial_config;
+  nested_config.engine.maintenance_threads = 4;
+  nested_config.num_workers = 1;
+
+  auto serial = KsirService::Create(serial_config, &model);
+  auto nested = KsirService::Create(nested_config, &model);
+  ASSERT_TRUE(serial.ok());
+  ASSERT_TRUE(nested.ok());
+  ASSERT_TRUE((*serial)->Append(elements).ok());
+  ASSERT_TRUE((*nested)->Append(elements).ok());
+  for (const Algorithm algorithm :
+       {Algorithm::kMtts, Algorithm::kMttd, Algorithm::kCelf}) {
+    KsirQuery query;
+    query.k = 5;
+    query.epsilon = 0.2;
+    query.algorithm = algorithm;
+    query.x = SparseVector::FromEntries({{1, 0.6}, {4, 0.4}});
+    const auto expected = (*serial)->Query(query);
+    const auto actual = (*nested)->Query(query);
+    ASSERT_TRUE(expected.ok() && actual.ok());
+    EXPECT_EQ(actual->element_ids, expected->element_ids)
+        << AlgorithmName(algorithm);
+    EXPECT_EQ(actual->score, expected->score) << AlgorithmName(algorithm);
+  }
+}
+
+TEST(ParallelMaintenanceTest, ServiceChurnWithRebalancingMatchesSerial) {
+  // TSan-covered end-to-end churn of the runtime: a sharded service with
+  // four-way parallel maintenance (the topic-sharded expiry / gather /
+  // list-apply stages) and router rebalancing ingests an expiry + resurrection heavy stream while a
   // reader hammers queries. Routing depends only on the element stream,
   // so the shard engines — and therefore every query — must land exactly
   // where a one-participant-maintenance service with the same config
@@ -1436,14 +1428,13 @@ TEST(ParallelMaintenanceTest, PinnedServiceChurnWithRebalancingMatchesSerial) {
   base.engine.max_shard_imbalance = 1.2;
   base.num_shards = 2;
 
-  ServiceConfig pinned_config = base;
-  pinned_config.engine.maintenance_threads = 4;
-  pinned_config.pin_workers = true;
+  ServiceConfig parallel_config = base;
+  parallel_config.engine.maintenance_threads = 4;
 
   auto serial = KsirService::Create(base, &model);
-  auto pinned = KsirService::Create(pinned_config, &model);
+  auto parallel = KsirService::Create(parallel_config, &model);
   ASSERT_TRUE(serial.ok());
-  ASSERT_TRUE(pinned.ok());
+  ASSERT_TRUE(parallel.ok());
   ASSERT_TRUE((*serial)->Append(elements).ok());
 
   std::atomic<bool> stop{false};
@@ -1454,10 +1445,10 @@ TEST(ParallelMaintenanceTest, PinnedServiceChurnWithRebalancingMatchesSerial) {
     query.algorithm = Algorithm::kMttd;
     query.x = SparseVector::FromEntries({{0, 0.5}, {2, 0.5}});
     while (!stop.load(std::memory_order_acquire)) {
-      ASSERT_TRUE((*pinned)->Query(query).ok());
+      ASSERT_TRUE((*parallel)->Query(query).ok());
     }
   });
-  ASSERT_TRUE((*pinned)->Append(elements).ok());
+  ASSERT_TRUE((*parallel)->Append(elements).ok());
   stop.store(true, std::memory_order_release);
   reader.join();
 
@@ -1469,21 +1460,20 @@ TEST(ParallelMaintenanceTest, PinnedServiceChurnWithRebalancingMatchesSerial) {
     query.algorithm = algorithm;
     query.x = SparseVector::FromEntries({{1, 0.6}, {4, 0.4}});
     const auto expected = (*serial)->Query(query);
-    const auto actual = (*pinned)->Query(query);
+    const auto actual = (*parallel)->Query(query);
     ASSERT_TRUE(expected.ok() && actual.ok());
     EXPECT_EQ(actual->element_ids, expected->element_ids)
         << AlgorithmName(algorithm);
     EXPECT_EQ(actual->score, expected->score) << AlgorithmName(algorithm);
   }
 
-  // Pool observability of the pinned run: tasks flowed, and every worker
-  // either got its CPU or was counted as a refused pin (never both silent).
-  MetricRegistry& reg = (*pinned)->telemetry().registry();
-  EXPECT_GT(reg.GetCounter("ksir_pool_tasks_total")->Value(), 0);
-  const std::int64_t pin_failures =
-      reg.GetCounter("ksir_pool_pin_failures_total")->Value();
-  EXPECT_GE(pin_failures, 0);
-  EXPECT_LE(pin_failures, 4);
+  // Pool observability of the parallel run: tasks flowed.
+  EXPECT_GT((*parallel)
+                ->telemetry()
+                .registry()
+                .GetCounter("ksir_pool_tasks_total")
+                ->Value(),
+            0);
 }
 
 // ---- result cache unit behavior -------------------------------------------
